@@ -20,6 +20,13 @@ Proofs for the batched campaign engine:
   encoder) beats the live-reconstructed PR 2 front half with
   bit-identical codes; the before/after per-die stage timings land in
   the machine-readable ``BENCH_4.json`` artifact;
+* **certified front half** -- shared-basis traces plus threshold-table
+  encoding (with the exact re-run of every row the table sends back)
+  beat the exact kernels (:func:`batch_biquad_traces` +
+  :func:`batch_codes`) with bit-identical codes, checked by the
+  front-half differential script (Monte Carlo fleet plus adversarial
+  near-breakpoint rows); speed factors and the fallback-row rate land
+  in ``certified_front_half.json``;
 * **stage-timing regression guard** -- per-die stage timings
   (trace/encode/signature/ndf) are compared against the committed
   baseline ``benchmarks/baselines/campaign_stages.json`` with a
@@ -39,6 +46,7 @@ the CI artifact upload.
 import json
 import os
 import pathlib
+import sys
 import time
 import tracemalloc
 
@@ -492,6 +500,91 @@ def test_front_half_speedup_vs_pr2(bench_setup, report_writer):
 
     assert identical
     assert combined_speedup >= required_combined
+    assert encode_speedup >= required_encode
+
+
+def test_certified_front_half_vs_exact(bench_setup, report_writer):
+    """Shared-basis traces + threshold table vs the exact kernels.
+
+    Runs ``scripts/front_half_differential.py`` (the one front-half
+    differential) over a reduced Monte Carlo fleet plus its
+    adversarial near-breakpoint stack.  The certified side includes
+    everything the engine's encode step does: the table pass and the
+    exact re-synthesis and re-encoding of every row the table sends
+    back.  Codes must be bit-identical; traces and encode must each
+    get faster (best of three passes).
+    """
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
+                           / "scripts"))
+    from front_half_differential import agrees, differential
+
+    n = FRONT_N
+    engine = bench_setup.campaign_engine(samples_per_period=2048,
+                                         cache=GoldenCache())
+    reports = [differential(engine, n, engine.config.chunk_size)
+               for __ in range(3)]
+    report = reports[0]
+    best = {key: min(r["us_per_die"][key] for r in reports)
+            for key in report["us_per_die"]}
+    identical = all(agrees(r) for r in reports)
+    traces_speedup = best["exact_traces"] / best["certified_traces"]
+    encode_speedup = best["exact_encode"] / best["certified_encode"]
+    combined_speedup = ((best["exact_traces"] + best["exact_encode"])
+                        / (best["certified_traces"]
+                           + best["certified_encode"]))
+    # Measured on a 2-core box: traces ~10-30x, encode ~2x.  The
+    # floors sit well below so shared-runner noise cannot flake.
+    required_traces = 3.0 if n >= 2000 else 2.0
+    required_encode = 1.3 if n >= 2000 else 1.1
+
+    rows = [["dies", str(n)],
+            ["exact traces / encode",
+             f"{best['exact_traces']:.1f} / {best['exact_encode']:.1f} "
+             f"us/die"],
+            ["certified traces / encode",
+             f"{best['certified_traces']:.1f} / "
+             f"{best['certified_encode']:.1f} us/die"],
+            ["traces speedup", f"{traces_speedup:.2f}x"],
+            ["encode speedup", f"{encode_speedup:.2f}x"],
+            ["combined speedup", f"{combined_speedup:.2f}x"],
+            ["fallback rows", f"{report['fallback_rate']:.2%}"],
+            ["adversarial rows (all sent back)",
+             f"{report['adversarial_rows']} "
+             f"({report['adversarial_fallback_rows']})"]]
+    comparisons = [
+        Comparison("traces speedup", f">= {required_traces:.1f}x",
+                   f"{traces_speedup:.2f}x",
+                   match=traces_speedup >= required_traces),
+        Comparison("encode speedup", f">= {required_encode:.1f}x",
+                   f"{encode_speedup:.2f}x",
+                   match=encode_speedup >= required_encode),
+        Comparison("zone codes", "bit-identical", str(identical),
+                   match=identical),
+    ]
+    report_writer("campaign_certified_front_half", "\n".join([
+        banner(f"CAMPAIGN: certified front half vs exact ({n} dies)"),
+        format_table(["quantity", "value"], rows),
+        "",
+        comparison_table(comparisons),
+    ]))
+    _write_json("certified_front_half", {
+        "dies": n,
+        "samples_per_period": 2048,
+        "front_half_per_die_s": {
+            "exact": {"traces": best["exact_traces"] * 1e-6,
+                      "encode": best["exact_encode"] * 1e-6},
+            "certified": {"traces": best["certified_traces"] * 1e-6,
+                          "encode": best["certified_encode"] * 1e-6},
+        },
+        "speedup": {"traces": traces_speedup, "encode": encode_speedup,
+                    "combined": combined_speedup},
+        "fallback_row_rate": report["fallback_rate"],
+        "adversarial_rows": report["adversarial_rows"],
+        "bit_identical_codes": identical,
+    })
+
+    assert identical
+    assert traces_speedup >= required_traces
     assert encode_speedup >= required_encode
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import linalg as _linalg
 
 from repro.core.signature import Signature
 
@@ -101,6 +100,8 @@ class RegressionTester:
         y_mean = float(y.mean())
         a = phi - phi_mean
         g = a.T @ a + self.ridge * np.eye(a.shape[1])
+        from scipy import linalg as _linalg  # deferred: import cost
+
         w = _linalg.solve(g, a.T @ (y - y_mean), assume_a="pos")
         intercept = y_mean - float(phi_mean @ w)
         residuals = phi @ w + intercept - y

@@ -31,6 +31,7 @@ from repro.campaign.batch import (
     batch_signatures,
     batch_through_eval,
     sample_times,
+    shared_basis_traces,
     trace_population_ndf,
 )
 from repro.campaign.cache import (
@@ -87,6 +88,7 @@ __all__ = [
     "batch_signatures",
     "batch_through_eval",
     "sample_times",
+    "shared_basis_traces",
     "trace_population_ndf",
     "CacheInfo",
     "GoldenArtifacts",

@@ -5,13 +5,18 @@ evaluates one trace, one zone encoding and one capture at a time.  At
 fleet scale the same work is batched over stacked ``(N, samples)``
 arrays and a packed signature representation:
 
-* :func:`batch_biquad_traces` synthesizes the whole ``(N, T)`` response
-  stack of a Biquad spec population in one pass: the closed-form
-  ``H(j w)`` of every die evaluates as a real-array broadcast
+* :func:`shared_basis_traces` synthesizes the ``(N, T)`` response
+  stack of a Biquad spec population on the screening path: per-die
+  coefficients ``[off, A cos(phi), A sin(phi)]`` times one shared
+  ``[1; sin(w t); cos(w t)]`` basis, plus a per-row bound on its
+  difference from the exact stack;
+* :func:`batch_biquad_traces` is the bit-identical trace kernel (the
+  screening fallback and the reference): the closed-form ``H(j w)``
+  of every die evaluates as a real-array broadcast
   (:func:`repro.filters.biquad.batch_transfer`, replicating Python's
   scalar complex arithmetic bit for bit) and the tone accumulation of
   :func:`batch_through_eval` reuses one scratch buffer -- no per-die
-  ``BiquadFilter``/``Multitone`` objects on the hot path;
+  ``BiquadFilter``/``Multitone`` objects;
 * :func:`batch_netlist_traces` does the same for stacks of
   same-topology linear netlist CUTs (fault dictionaries): one
   :func:`repro.circuits.ac.ac_analysis_batch` sweep solves every
@@ -24,11 +29,14 @@ arrays and a packed signature representation:
   object by object -- both retained as the per-die reference the
   equivalence tests and benchmarks compare the fused kernels against;
 * :func:`batch_codes` pushes the whole ``(N, samples)`` point stack
-  through the zone encoder at once -- monitor banks take the fused
-  shared-branch path of
+  through the exact zone encoder at once -- monitor banks take the
+  fused shared-branch path of
   :func:`repro.monitor.bank_encode.monitor_bank_codes` (one in-place
   EKV table per model card per gate signal, per-boundary balances in
-  reused scratch, packed code accumulation);
+  reused scratch, packed code accumulation).  Screening encodes
+  through the golden's
+  :class:`~repro.monitor.bank_encode.ThresholdTable` instead and
+  keeps :func:`batch_codes` for the rows the table sends back;
 * :func:`batch_extract` run-length extracts the whole code stack into
   one packed :class:`repro.core.signature_batch.SignatureBatch` (CSR
   ``codes``/``durations``/``row_offsets``) in a single pass -- per-die
@@ -39,14 +47,18 @@ arrays and a packed signature representation:
   :func:`batch_signatures`/:func:`batch_ndf` remain as the unpacked
   per-die reference implementations.
 
-The floating-point expression order of the per-die path is replicated
-exactly (same complex quotient and ``hypot``/``arctan2`` rounding in
-the transfer evaluation, same offset-then-tone accumulation, same
-``w*t + phase`` association, same run-length subtractions and NDF
-interval sums), so a batched campaign with ``refine`` disabled produces
-**bit-identical** traces, codes, signatures, NDFs and verdicts to a
-serial :class:`SignatureTester` with ``refine=False``.  The campaign
-equivalence tests assert this for every population kind and executor.
+The exact kernels replicate the floating-point expression order of
+the per-die path (same complex quotient and ``hypot``/``arctan2``
+rounding in the transfer evaluation, same offset-then-tone
+accumulation, same ``w*t + phase`` association, same run-length
+subtractions and NDF interval sums).  A batched campaign with
+``refine`` disabled therefore produces **bit-identical** codes,
+signatures, NDFs and verdicts to a serial :class:`SignatureTester`
+with ``refine=False``; traces are bit-identical except on the
+spec-population path, whose shared-basis traces are certified to give
+the same codes (``docs/paper_map.md`` states the guard-band
+argument).  The campaign equivalence tests assert this for every
+population kind and executor.
 """
 
 from __future__ import annotations
@@ -127,10 +139,8 @@ def batch_through_eval(stimulus: Multitone,
     ``tone_transfers[k]`` carries the ``(real, imag)`` arrays of every
     die's ``H`` at tone ``k``'s frequency; ``dc_gains`` the (exactly
     real) ``H(0)`` per die.  Replicates
-    :meth:`repro.signals.multitone.Multitone.through` --
-    ``|H|`` via the C-library ``hypot`` (`np.hypot` rounds
-    identically), phase via the ``arctan2 -> degrees -> + phase_deg ->
-    radians`` round trip -- followed by :func:`batch_multitone_eval`'s
+    :meth:`repro.signals.multitone.Multitone.through` (see
+    :func:`_amplitudes_phases`) followed by :func:`batch_multitone_eval`'s
     offset-then-tone accumulation, all staged through one scratch
     buffer so no fresh ``(N, T)`` temporaries are allocated per tone.
     """
@@ -145,9 +155,7 @@ def batch_through_eval(stimulus: Multitone,
     np.copyto(total, offsets[:, None])  # == np.repeat, value for value
     buf = SCRATCH.take(shape)
     for tone, (h_re, h_im) in zip(stimulus.tones, tone_transfers):
-        amps = tone.amplitude * np.hypot(h_re, h_im)
-        phase_deg = tone.phase_deg + np.degrees(np.arctan2(h_im, h_re))
-        phases = np.radians(phase_deg)
+        amps, phases = _amplitudes_phases(tone, h_re, h_im)
         w_t = 2.0 * math.pi * tone.freq_hz * times
         np.add(w_t[None, :], phases[:, None], out=buf)
         np.sin(buf, out=buf)
@@ -157,23 +165,17 @@ def batch_through_eval(stimulus: Multitone,
     return total
 
 
-def batch_biquad_traces(specs: Sequence[BiquadSpec],
-                        stimulus: Multitone,
-                        times: np.ndarray) -> np.ndarray:
-    """Response stack of a Biquad spec population, fully vectorized.
+def _spec_transfers(specs: Sequence[BiquadSpec], stimulus: Multitone
+                    ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]],
+                               np.ndarray]:
+    """Per-tone ``(real, imag)`` transfers and DC gains of a population.
 
-    Bit-identical to ``batch_multitone_eval([BiquadFilter(s).response(
-    stimulus) for s in specs], times)`` -- i.e. to the per-die
-    reference flow -- without constructing a single per-die object:
-    the closed-form transfer of all N dies evaluates per tone as one
-    real-array broadcast and the trace accumulates through
-    :func:`batch_through_eval`.
+    The parameters stack once for all tone frequencies plus DC; a
+    mixed-kind population stacks once per kind group.  ``H(0)`` of a
+    Biquad is exactly real (the quotient's imaginary part is a signed
+    zero), so :meth:`Multitone.through`'s DC-realness guard can never
+    trip on the spec paths.
     """
-    times = np.asarray(times, dtype=float)
-    if not specs:
-        return np.empty((0, times.size))
-    # Stack the parameters once for all tone frequencies plus DC; a
-    # mixed-kind population stacks once per kind group.
     n = len(specs)
     kind_list = [spec.kind for spec in specs]
     tone_transfers = [(np.empty(n), np.empty(n))
@@ -189,10 +191,101 @@ def batch_biquad_traces(specs: Sequence[BiquadSpec],
             tone_transfers[slot][1][idx] = h_im
         dc_re[idx], __ = batch_transfer_arrays(omega0, q, gain, kind,
                                                0.0)
-    # H(0) of a Biquad is exactly real (the quotient's imaginary part
-    # is a signed zero), so Multitone.through's DC-realness guard can
-    # never trip on this path.
+    return tone_transfers, dc_re
+
+
+def _amplitudes_phases(tone, h_re: np.ndarray, h_im: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """Output amplitude and phase (radians) of one tone, per die.
+
+    Replicates :meth:`repro.signals.multitone.Multitone.through`:
+    ``|H|`` via the C-library ``hypot`` (`np.hypot` rounds
+    identically), phase via the ``arctan2 -> degrees -> + phase_deg ->
+    radians`` round trip.
+    """
+    amps = tone.amplitude * np.hypot(h_re, h_im)
+    phase_deg = tone.phase_deg + np.degrees(np.arctan2(h_im, h_re))
+    return amps, np.radians(phase_deg)
+
+
+def batch_biquad_traces(specs: Sequence[BiquadSpec],
+                        stimulus: Multitone,
+                        times: np.ndarray) -> np.ndarray:
+    """Response stack of a Biquad spec population, bit-identical.
+
+    Bit-identical to ``batch_multitone_eval([BiquadFilter(s).response(
+    stimulus) for s in specs], times)`` -- i.e. to the per-die
+    reference flow -- without constructing a single per-die object:
+    the closed-form transfer of all N dies evaluates per tone as one
+    real-array broadcast and the trace accumulates through
+    :func:`batch_through_eval`.  Screening synthesizes through
+    :func:`shared_basis_traces` and calls this only for the rows whose
+    codes it cannot certify.
+    """
+    times = np.asarray(times, dtype=float)
+    if not specs:
+        return np.empty((0, times.size))
+    tone_transfers, dc_re = _spec_transfers(specs, stimulus)
     return batch_through_eval(stimulus, tone_transfers, dc_re, times)
+
+
+def shared_basis_traces(specs: Sequence[BiquadSpec],
+                        stimulus: Multitone, times: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """Response stack by small GEMMs, plus a per-row error bound (V).
+
+    Every die's response is ``off + sum_k A_k sin(w_k t + phi_k)`` on
+    one shared grid, i.e. the ``(N, 2K+1)`` coefficient matrix
+    ``[off, A cos(phi), A sin(phi)]`` times the ``(2K+1, T)`` basis
+    ``[1; sin(w_k t); cos(w_k t)]``, so ``sin`` runs once per tone and
+    sample instead of once per die.  Coefficients come from the same
+    transfers, amplitudes and phases as :func:`batch_biquad_traces`.
+
+    The stack is not bit-identical to :func:`batch_biquad_traces`; the
+    second result bounds, per row, ``|shared - exact|`` from the
+    coefficients.  Both paths approximate the same real sum; per tone,
+    the exact path rounds the argument ``w t + phi`` (at most
+    ``u (|w t| + |phi|)``, ``u = 2**-53``) and both round their library
+    ``sin``/``cos`` calls, products and sums (a few ``u`` per term),
+    giving ``u [sum_k A_k (max|w_k t| + |phi_k| + 15) + 3 K (|off| +
+    2 sum_k A_k)]``, doubled for second-order terms.
+    """
+    times = np.asarray(times, dtype=float)
+    n = len(specs)
+    tones = stimulus.tones
+    basis = np.empty((2 * len(tones) + 1, times.size))
+    if n == 0:
+        return np.empty((0, times.size)), np.empty(0)
+    tone_transfers, dc_re = _spec_transfers(specs, stimulus)
+    coefficients = np.empty((n, basis.shape[0]))
+    coefficients[:, 0] = stimulus.offset * dc_re
+    basis[0] = 1.0
+    amplitude_sum = np.zeros(n)
+    tone_terms = np.zeros(n)
+    for k, (tone, (h_re, h_im)) in enumerate(zip(tones, tone_transfers)):
+        amps, phases = _amplitudes_phases(tone, h_re, h_im)
+        w_t = 2.0 * math.pi * tone.freq_hz * times
+        coefficients[:, 2 * k + 1] = amps * np.cos(phases)
+        coefficients[:, 2 * k + 2] = amps * np.sin(phases)
+        basis[2 * k + 1] = np.sin(w_t)
+        basis[2 * k + 2] = np.cos(w_t)
+        amps = np.abs(amps)
+        amplitude_sum += amps
+        tone_terms += amps * (np.max(np.abs(w_t)) + np.abs(phases)
+                               + 15.0)
+    # Row blocks of ~2**17 multiply-adds stay below OpenBLAS's
+    # threading threshold: one large threaded GEMM measured ~10x
+    # slower on a 2-core box, and its spinning threads slow whatever
+    # runs next.
+    y = SCRATCH.take((n, times.size))
+    step = max(1, 2 ** 17 // basis.size)
+    for lo in range(0, n, step):
+        np.matmul(coefficients[lo:lo + step], basis,
+                  out=y[lo:lo + step])
+    bound = 2.0 * 2.0 ** -53 * (
+        tone_terms + 3.0 * len(tones)
+        * (np.abs(coefficients[:, 0]) + 2.0 * amplitude_sum))
+    return y, bound
 
 
 #: Attributes a netlist CUT class exposes to join the stacked MNA fast

@@ -31,13 +31,14 @@ import threading
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Tuple
+from typing import Callable, Hashable, Optional, Tuple
 
 import numpy as np
 
 from repro.core.signature import Signature
 from repro.core.zones import ZoneEncoder
 from repro.filters.biquad import BiquadSpec
+from repro.monitor.bank_encode import ThresholdTable
 from repro.obs.metrics import default_registry
 from repro.obs.trace import span
 from repro.signals.multitone import Multitone
@@ -102,6 +103,10 @@ class GoldenArtifacts:
         capture of the observed dies).
     period:
         Signature period in seconds.
+    table:
+        The encoder's certified :class:`ThresholdTable` on ``x``, or
+        ``None`` when the bank does not admit one (screening then
+        encodes through the exact kernel).
     """
 
     times: np.ndarray
@@ -110,6 +115,7 @@ class GoldenArtifacts:
     codes: np.ndarray
     signature: Signature
     period: float
+    table: Optional[ThresholdTable] = None
 
 
 class GoldenCache:

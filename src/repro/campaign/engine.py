@@ -54,7 +54,8 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -65,6 +66,7 @@ from repro.campaign.batch import (
     batch_multitone_eval,
     batch_netlist_traces,
     sample_times,
+    shared_basis_traces,
 )
 from repro.campaign.cache import (
     GoldenArtifacts,
@@ -91,7 +93,8 @@ from repro.core.signature import Signature
 from repro.core.signature_batch import SignatureBatch
 from repro.core.zones import ZoneEncoder
 from repro.filters.biquad import BiquadFilter, BiquadSpec
-from repro.obs.metrics import record_engine_timings
+from repro.monitor.bank_encode import threshold_table
+from repro.obs.metrics import default_registry, record_engine_timings
 from repro.obs.profile import STAGE_PREFIX
 from repro.obs.trace import span
 from repro.signals.multitone import Multitone
@@ -195,7 +198,7 @@ class _stage:
 # Chunk workers (module level: pool executors pickle them)
 # ----------------------------------------------------------------------
 def _compute_golden(config: CampaignConfig) -> GoldenArtifacts:
-    """Golden trace, codes and signature for one configuration."""
+    """Golden trace, codes, signature and threshold table."""
     stimulus = config.stimulus
     period = stimulus.period()
     times = sample_times(period, config.samples_per_period)
@@ -203,7 +206,8 @@ def _compute_golden(config: CampaignConfig) -> GoldenArtifacts:
     y = batch_biquad_traces([config.golden_spec], stimulus, times)[0]
     codes = batch_codes(config.encoder, x, y[None, :])[0]
     signature = Signature.from_samples(times, codes, period)
-    return GoldenArtifacts(times, x, y, codes, signature, period)
+    return GoldenArtifacts(times, x, y, codes, signature, period,
+                           threshold_table(config.encoder, x))
 
 
 def _golden_artifacts(config: CampaignConfig,
@@ -212,14 +216,52 @@ def _golden_artifacts(config: CampaignConfig,
                                 lambda: _compute_golden(config))
 
 
+def _encode_stack(encoder: ZoneEncoder, golden: GoldenArtifacts,
+                  x: np.ndarray, y: np.ndarray,
+                  exact_rows: Optional[Callable[[np.ndarray],
+                                                np.ndarray]] = None,
+                  trace_error: Optional[np.ndarray] = None) -> np.ndarray:
+    """Zone codes of a trace stack, bit-identical to the exact kernel.
+
+    With a 1-D ``x`` equal to the golden's and a threshold table, the
+    table encodes the stack and only the rows it cannot certify go
+    through :func:`batch_codes`.  ``y`` is then either exact or, with
+    ``exact_rows`` (row indices -> exact traces), a synthesized stack
+    whose rows stay within ``trace_error`` volts of exact; redone rows
+    are re-synthesized exactly first.  Anything else (2-D noisy ``x``,
+    banks without a table) takes :func:`batch_codes` on exact traces.
+    """
+    table = golden.table
+    if table is None or not np.array_equal(x, golden.x):
+        if exact_rows is not None:
+            y = exact_rows(np.arange(y.shape[0]))
+        return batch_codes(encoder, x, y)
+    codes, rows = table.encode(y, trace_error)
+    if rows.size:
+        redo = y[rows] if exact_rows is None else exact_rows(rows)
+        codes[rows] = batch_codes(encoder, x, redo)
+    registry = default_registry()
+    registry.counter("encode_rows_total", path="table").inc(
+        y.shape[0] - rows.size)
+    registry.counter("encode_rows_total", path="exact").inc(rows.size)
+    return codes
+
+
 def _score_code_stack(config: CampaignConfig, golden: GoldenArtifacts,
                       x: np.ndarray, y: np.ndarray,
                       timing: Dict[str, float], collect: bool = False,
-                      cache: Optional[GoldenCache] = None
+                      cache: Optional[GoldenCache] = None,
+                      exact_rows: Optional[Callable[[np.ndarray],
+                                                    np.ndarray]] = None,
+                      trace_error: Optional[np.ndarray] = None
                       ) -> Tuple[np.ndarray,
                                  Union[None, SignatureBatch,
                                        MultiSignatureBatch]]:
     """Encode -> pack -> fleet-NDF one trace stack, timing each stage.
+
+    ``exact_rows``/``trace_error`` mark ``y`` as a synthesized stack
+    (see :func:`_encode_stack`); every channel's codes stay
+    bit-identical to encoding the exact traces.
 
     With ``collect`` the packed :class:`SignatureBatch` of the stack is
     returned alongside the NDFs (the diagnosis subsystem consumes it);
@@ -235,7 +277,8 @@ def _score_code_stack(config: CampaignConfig, golden: GoldenArtifacts,
     """
     dies = int(y.shape[0])
     with _stage(timing, "encode", dies=dies):
-        codes = batch_codes(config.encoder, x, y)
+        codes = _encode_stack(config.encoder, golden, x, y, exact_rows,
+                              trace_error)
     with _stage(timing, "signature", dies=dies):
         batch = batch_extract(golden.times, codes, golden.period)
     with _stage(timing, "ndf", dies=dies):
@@ -249,7 +292,8 @@ def _score_code_stack(config: CampaignConfig, golden: GoldenArtifacts,
         sub = config.channel_config(k)
         sub_golden = _golden_artifacts(sub, cache)
         with _stage(timing, "encode", dies=dies, channel=k):
-            sub_codes = batch_codes(sub.encoder, x, y)
+            sub_codes = _encode_stack(sub.encoder, sub_golden, x, y,
+                                      exact_rows, trace_error)
         with _stage(timing, "signature", dies=dies, channel=k):
             sub_batch = batch_extract(golden.times, sub_codes,
                                       golden.period)
@@ -267,18 +311,44 @@ def _spec_chunk_ndfs(config: CampaignConfig,
                                 Optional[SignatureBatch]]:
     """NDFs of a chunk of Biquad design points, object-free.
 
-    The whole front half is one array pass: closed-form transfer
-    broadcast + buffered tone accumulation
-    (:func:`~repro.campaign.batch.batch_biquad_traces`), then the
-    fused encode and packed back half.
+    When every channel's golden carries a threshold table, traces come
+    from the shared-basis GEMM
+    (:func:`~repro.campaign.batch.shared_basis_traces`) and codes from
+    the tables; rows a table cannot certify are re-synthesized by the
+    exact :func:`~repro.campaign.batch.batch_biquad_traces` (once per
+    row, shared by the channels) and re-encoded by the exact kernel,
+    so codes, NDFs and verdicts stay bit-identical to the per-die
+    flow.  Otherwise the chunk is one exact synthesis and encode.
     """
     timing: Dict[str, float] = {}
     with _stage(timing, "golden"):
         golden = _golden_artifacts(config, cache)
+    certified = golden.table is not None and all(
+        _golden_artifacts(config.channel_config(k), cache).table
+        is not None for k in range(1, config.num_channels))
+    if not certified:
+        with _stage(timing, "traces", dies=len(specs)):
+            y = batch_biquad_traces(specs, config.stimulus, golden.times)
+        values, batch = _score_code_stack(config, golden, golden.x, y,
+                                          timing, collect, cache)
+        SCRATCH.give(y)
+        return values, timing, batch
     with _stage(timing, "traces", dies=len(specs)):
-        y = batch_biquad_traces(specs, config.stimulus, golden.times)
+        y, trace_error = shared_basis_traces(specs, config.stimulus,
+                                             golden.times)
+    exact: Dict[int, np.ndarray] = {}
+
+    def exact_rows(rows: np.ndarray) -> np.ndarray:
+        missing = [int(i) for i in rows if int(i) not in exact]
+        if missing:
+            traces = batch_biquad_traces([specs[i] for i in missing],
+                                         config.stimulus, golden.times)
+            exact.update(zip(missing, traces))
+        return np.stack([exact[int(i)] for i in rows])
+
     values, batch = _score_code_stack(config, golden, golden.x, y,
-                                      timing, collect, cache)
+                                      timing, collect, cache,
+                                      exact_rows, trace_error)
     SCRATCH.give(y)  # trace stacks ride pooled buffers; codes are out
     return values, timing, batch
 
@@ -992,9 +1062,11 @@ class CampaignEngine:
         ``listen="HOST:PORT"`` runs the campaign multi-node: instead
         of spawning subprocesses the coordinator accepts ``repro
         shard-worker --connect`` processes over TCP, shipping
-        checkpoints inline (no shared filesystem).  ``autotune_s``
-        replaces the static plan with shards carved to roughly that
-        many seconds of each worker's observed rate.
+        checkpoints inline (no shared filesystem); an explicit
+        ``workers`` holds dispatch until that many workers have
+        connected (or the rejoin grace expires).  ``autotune_s`` replaces the static
+        plan with shards carved to roughly that many seconds of each
+        worker's observed rate.
         """
         return self.submit(ScreeningRequest(
             population=fleet, mode="sharded", band=band,

@@ -235,8 +235,18 @@ class SharedMemoryExecutor(ProcessPoolExecutor):
     """
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
+        import sys
+
         super().__init__(max_workers)
         self.name = f"shared-memory[{self.max_workers}]"
+        if sys.version_info < (3, 13):
+            # Start the resource tracker before any worker forks, so
+            # fork-based workers share it even when a spec population
+            # spins the pool up before the first publish (see
+            # attach_shared_array).
+            from multiprocessing import resource_tracker
+
+            resource_tracker.ensure_running()
 
     def publish(self, array: np.ndarray):
         """Copy an array into a fresh shared segment once.

@@ -118,7 +118,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                "or shared-memory pool ('process' is a "
                                "legacy alias of 'pool')")
     campaign.add_argument("--workers", type=int, default=None,
-                          help="pool size (with --executor pool/shm)")
+                          help="pool size (with --executor pool/shm "
+                               "or --shards); with --listen, dispatch "
+                               "waits until this many workers have "
+                               "connected")
     campaign.add_argument("--stream", action="store_true",
                           help="stream the population in bounded-"
                                "memory chunks (mc scenario)")

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize as _optimize
 
 from repro.core.testflow import SignatureTester
 from repro.core.zones import ZoneEncoder
@@ -154,6 +153,8 @@ class BiasPlacementOptimizer:
 
     def optimize(self, max_iterations: int = 40) -> PlacementResult:
         """Run Nelder-Mead from the current bank."""
+        from scipy import optimize as _optimize  # deferred: import cost
+
         x0 = self.initial_vector()
         initial = self.objective(x0)
         result = _optimize.minimize(

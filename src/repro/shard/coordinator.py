@@ -155,8 +155,12 @@ class ShardCoordinator:
         Planning and pool sizing: split into ``shards`` near-equal
         ranges, or fixed ``shard_size`` ranges; run at most
         ``workers`` subprocesses (default: one per shard).  With
-        ``listen`` set the pool is whoever dials in -- ``workers``
-        only sizes the stats and spans.
+        ``listen`` set the pool is whoever dials in; an explicit
+        ``workers`` is then the expected pool size and the admission
+        barrier: no shard is dispatched until that many workers have
+        connected or ``rejoin_grace`` seconds have passed, so a fast
+        first worker cannot drain the plan before the others dial
+        in.  Without it the first worker gets shards at once.
     workdir:
         Directory for shard checkpoints and worker stderr logs.  A
         temp dir (cleaned up on success) when None.
@@ -236,6 +240,8 @@ class ShardCoordinator:
         self.progress_timeout = (None if progress_timeout is None
                                  else float(progress_timeout))
         self.rejoin_grace = float(rejoin_grace)
+        self._barrier = (self.num_workers
+                         if self.remote and workers is not None else 1)
         self._workdir = workdir
         self._own_workdir = workdir is None
         self._queue: "queue.Queue[Tuple[Optional[int], dict]]" = \
@@ -491,8 +497,22 @@ class ShardCoordinator:
         tick = max(0.05, min(0.5, self.heartbeat / 4.0))
         workerless_since: Optional[float] = (
             time.monotonic() if self.remote else None)
+        # Admission barrier: dispatch waits for the expected pool or
+        # the rejoin grace, whichever comes first.
+        barrier_until: Optional[float] = (
+            time.monotonic() + self.rejoin_grace
+            if self._barrier > 1 else None)
         while self._work_remaining(pending, done):
-            for worker in list(self._workers.values()):
+            if barrier_until is not None and (
+                    len(self._workers) >= self._barrier
+                    or time.monotonic() >= barrier_until):
+                barrier_until = None
+                log_event("shard.barrier.open",
+                          workers=len(self._workers),
+                          expected=self._barrier)
+            ready = (list(self._workers.values())
+                     if barrier_until is None else [])
+            for worker in ready:
                 if not worker.idle:
                     continue
                 if not pending and self.autotuner is not None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import signal as _signal
 
 from repro.signals.lissajous import LissajousTrace
 from repro.signals.waveform import Waveform
@@ -43,6 +42,11 @@ class BandLimiter:
         """Filtered copy of one waveform (causal, steady-state start)."""
         if not waveform.is_uniform(rtol=1e-6):
             raise ValueError("band limiting needs a uniform time base")
+        # scipy.signal is imported here, not at module level: it is
+        # most of the package's import time and the screening path
+        # never band-limits.
+        from scipy import signal as _signal
+
         dt = waveform.sample_interval
         a = float(np.exp(-2.0 * np.pi * self.cutoff_hz * dt))
         b = [1.0 - a]

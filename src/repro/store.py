@@ -466,18 +466,35 @@ def _encode_golden(artifacts) -> Tuple[Dict[str, np.ndarray], Dict]:
         "sig_codes": codes,
         "sig_durations": durations,
     }
-    return arrays, {"period": float(artifacts.period)}
+    table, table_meta = artifacts.table, None
+    if table is not None:
+        arrays.update(table_breakpoints=table.breakpoints,
+                      table_lower=table.lower, table_upper=table.upper,
+                      table_base=table.base)
+        table_meta = {"y_range": [float(v) for v in table.y_range],
+                      "guard": float(table.guard)}
+    return arrays, {"period": float(artifacts.period),
+                    "table": table_meta}
 
 
 def _decode_golden(arrays: Dict[str, np.ndarray], meta: Dict):
     from repro.campaign.cache import GoldenArtifacts
+    from repro.monitor.bank_encode import ThresholdTable
 
     period = float(meta["period"])
     signature = _signature_from_arrays(arrays["sig_codes"],
                                        arrays["sig_durations"], period)
+    # A golden written before tables existed has no "table" entry: the
+    # KeyError makes the cache recompute and rewrite it once.
+    table_meta = meta["table"]
+    table = None if table_meta is None else ThresholdTable(
+        arrays["table_breakpoints"], arrays["table_lower"],
+        arrays["table_upper"], arrays["table_base"],
+        tuple(table_meta["y_range"]), float(table_meta["guard"]))
     return GoldenArtifacts(
         times=arrays["times"], x=arrays["x"], y=arrays["y"],
-        codes=arrays["codes"], signature=signature, period=period)
+        codes=arrays["codes"], signature=signature, period=period,
+        table=table)
 
 
 def _encode_calibration(calibration

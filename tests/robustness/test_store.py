@@ -206,6 +206,51 @@ def test_restarted_engine_warms_from_store_without_recompute(store):
     assert band2.threshold == band.threshold
 
 
+def test_threshold_table_round_trips_through_the_store(store,
+                                                      monkeypatch):
+    """The golden's threshold table persists with it: a restarted
+    engine gets the same table back without rebuilding it."""
+    import repro.campaign.engine as engine_module
+
+    golden = _engine(store).golden()
+    assert golden.table is not None
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("threshold table rebuilt on warm restart")
+
+    monkeypatch.setattr(engine_module, "threshold_table", no_rebuild)
+    reopened = ArtifactStore(store.root)
+    table = _engine(reopened).golden().table
+    assert reopened.info.hits == 1
+    for name in ("breakpoints", "lower", "upper", "base"):
+        np.testing.assert_array_equal(getattr(table, name),
+                                      getattr(golden.table, name))
+    assert table.base.dtype == np.uint8
+    assert table.y_range == golden.table.y_range
+    assert table.guard == golden.table.guard
+
+
+def test_golden_without_table_entry_is_recomputed(store):
+    """A golden written before threshold tables existed decodes as a
+    damaged artifact: the cache recomputes it (table included) and
+    rewrites it."""
+    from repro.store import _encode_golden
+
+    engine = _engine(store)
+    golden = engine.golden()
+    arrays, meta = _encode_golden(golden)
+    meta.pop("table")
+    for name in [n for n in arrays if n.startswith("table_")]:
+        del arrays[name]
+    key = engine.config.golden_key()
+    store.put(key, arrays, meta)
+    reopened = ArtifactStore(store.root)
+    again = _engine(reopened).golden()
+    assert again.table is not None
+    np.testing.assert_array_equal(again.table.lower, golden.table.lower)
+    assert reopened.info.writes == 1
+
+
 def test_fault_dictionary_persists_across_restart(store):
     from repro.diagnosis import compile_fault_dictionary
 

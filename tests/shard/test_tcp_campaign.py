@@ -99,7 +99,7 @@ def _monolithic(engine, fleet, count=DIES):
 
 def test_two_tcp_workers_merge_bit_identical(small_engine):
     fleet = _mc_fleet()
-    campaign = _Campaign(small_engine, fleet, shards=4)
+    campaign = _Campaign(small_engine, fleet, shards=4, workers=2)
     host, port = campaign.address
     workers = [_start_worker(host, port) for _ in range(2)]
     try:
@@ -123,7 +123,7 @@ def test_worker_severed_mid_shard_resumes_from_shipped_checkpoint(
     takes the shard over and resumes from the checkpoint bytes the
     dead worker shipped home -- bit-identical merge, no shared FS."""
     fleet = _mc_fleet()
-    campaign = _Campaign(small_engine, fleet, shards=2)
+    campaign = _Campaign(small_engine, fleet, shards=2, workers=2)
     host, port = campaign.address
     # Worker A SIGKILLs itself right after its second progress report
     # -- past an inline-shipped checkpoint, so the resume is real --
@@ -230,3 +230,21 @@ def test_engine_listen_path_reports_tcp_executor(small_engine):
     reference = _monolithic(small_engine, fleet)
     np.testing.assert_array_equal(result.ndfs, reference.ndfs)
     np.testing.assert_array_equal(result.verdicts, reference.verdicts)
+
+
+def test_admission_barrier_opens_after_rejoin_grace(small_engine):
+    """A barrier that is never met still opens once the rejoin grace
+    runs out: one worker then screens every shard."""
+    fleet = _mc_fleet()
+    campaign = _Campaign(small_engine, fleet, shards=2, workers=3,
+                         rejoin_grace=2.0)
+    host, port = campaign.address
+    worker = _start_worker(host, port)
+    try:
+        merged, stats = campaign.join()
+    finally:
+        worker.wait(timeout=30)
+    np.testing.assert_array_equal(merged.values(np.empty(0)),
+                                  _monolithic(small_engine, fleet).ndfs)
+    assert stats["workers"] == 1.0
+    assert stats["completed"] == 2.0
