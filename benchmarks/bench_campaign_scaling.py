@@ -656,6 +656,10 @@ def test_streamed_campaign_bounds_memory(bench_setup, report_writer):
                                          cache=GoldenCache())
     engine.golden()
 
+    # Earlier tests leave (N, T) buffers parked in the scratch pool;
+    # both windows start from an empty pool so each peak counts the
+    # buffers its own run needs.
+    SCRATCH.clear()
     tracemalloc.start()
     monolithic = engine.run(
         montecarlo_dies(bench_setup.golden_spec, n, sigma_f0=0.03,
@@ -663,6 +667,7 @@ def test_streamed_campaign_bounds_memory(bench_setup, report_writer):
     __, peak_monolithic = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
+    SCRATCH.clear()
     tracemalloc.start()
     streamed = engine.run_stream(
         stream_montecarlo_dies(bench_setup.golden_spec, n,

@@ -25,6 +25,12 @@ no shared filesystem).  The survivor must take the shard over,
 resume from the shipped checkpoint, and the merged verdicts must be
 **bit-identical** to the monolithic run.
 
+**Phase D -- warm worker pool.**  Two pipe campaigns run back to back
+on one engine.  The second must be served by the same worker
+processes (the pids each worker reports in ``hello``), both merges
+must be **bit-identical** to the in-process stream over the same
+fleet, and ``engine.close()`` must leave no worker alive.
+
 Usage::
 
     python scripts/sharded_smoke.py --dies 24 --samples 512 --shards 3
@@ -221,11 +227,69 @@ def phase_c_tcp_partition_drill(args) -> None:
           f"({int(stats['workers'])} workers on {host}:{port})")
 
 
+def phase_d_warm_pool(args) -> None:
+    """Two pipe campaigns on one engine reuse the same workers."""
+    import io
+
+    import numpy as np
+
+    from repro.campaign import CampaignEngine
+    from repro.monitor.configurations import table1_encoder
+    from repro.obs.logs import set_log_sink
+    from repro.paper import PAPER_BIQUAD, PAPER_STIMULUS
+    from repro.shard import MonteCarloFleet
+
+    engine = CampaignEngine.from_parts(
+        table1_encoder(), PAPER_STIMULUS, PAPER_BIQUAD,
+        samples_per_period=args.samples)
+    threshold = engine.band().threshold
+    sink = io.StringIO()
+    previous = set_log_sink(sink)
+    pids = []
+    try:
+        for seed in (args.seed, args.seed + 1):
+            fleet = MonteCarloFleet(PAPER_BIQUAD, args.dies,
+                                    sigma_f0=args.sigma, seed=seed,
+                                    chunk_size=args.chunk)
+            sharded = engine.run_sharded(fleet, shards=args.shards,
+                                         band=threshold,
+                                         heartbeat=15.0)
+            reference = engine.run_stream(
+                fleet.chunks(0, len(fleet)), band=threshold)
+            assert np.array_equal(sharded.ndfs, reference.ndfs), \
+                f"campaign with seed {seed} differs from the stream"
+            assert np.array_equal(sharded.verdicts, reference.verdicts)
+            events = [json.loads(line)
+                      for line in sink.getvalue().splitlines()]
+            sink.seek(0)
+            sink.truncate()
+            pids.append({e["worker"]: e["pid"] for e in events
+                         if e["event"] == "shard.worker.ready"})
+    finally:
+        set_log_sink(previous)
+        engine.close()
+    assert len(pids[0]) == args.shards, pids
+    assert pids[0] == pids[1], \
+        f"second campaign did not reuse the workers: {pids}"
+    survivors = []
+    for pid in pids[0].values():
+        try:
+            os.kill(pid, 0)
+            survivors.append(pid)
+        except ProcessLookupError:
+            pass
+    assert not survivors, f"workers alive after close(): {survivors}"
+    print(f"phase D ok: two campaigns on worker pids "
+          f"{sorted(pids[0].values())}, bit-identical merges, none "
+          f"left after close()")
+
+
 def main() -> int:
     args = _parse_args()
     phase_a_kill_drill(args)
     phase_b_cli_equivalence(args)
     phase_c_tcp_partition_drill(args)
+    phase_d_warm_pool(args)
     print("sharded smoke: all assertions held")
     return 0
 

@@ -61,6 +61,7 @@ from repro.campaign.result import CampaignResult, NoiseCampaignResult
 from repro.campaign.scenarios import (
     CutListPopulation,
     EncoderPopulation,
+    InvalidTraceError,
     SpecPopulation,
     TracePopulation,
     deviation_sweep_population,
@@ -107,6 +108,7 @@ __all__ = [
     "NoiseCampaignResult",
     "CutListPopulation",
     "EncoderPopulation",
+    "InvalidTraceError",
     "SpecPopulation",
     "TracePopulation",
     "deviation_sweep_population",

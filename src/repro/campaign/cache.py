@@ -199,10 +199,20 @@ class GoldenCache:
                 with span("cache.compute", kind=kind):
                     value = compute()
                 self._store_save(key, value)
-            self._entries[key] = value
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+            self._insert(key, value)
             return value
+
+    def _insert(self, key: Hashable, value: object) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+
+    def seed(self, key: Hashable, value: object) -> None:
+        """Cache a value computed elsewhere (a shard worker seeds the
+        coordinator's golden); counts as neither hit nor miss."""
+        with self._lock:
+            self._insert(key, value)
 
     def contains(self, key: Hashable) -> bool:
         """True when ``key`` is cached (does not touch the counters)."""

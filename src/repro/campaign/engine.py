@@ -51,6 +51,7 @@ Worked example (mirrors ``examples/campaign_fleet.py``)::
 
 from __future__ import annotations
 
+import threading
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
@@ -82,6 +83,7 @@ from repro.campaign.result import CampaignResult, NoiseCampaignResult
 from repro.campaign.scenarios import (
     CutListPopulation,
     EncoderPopulation,
+    InvalidTraceError,
     SpecPopulation,
     TracePopulation,
     deviation_sweep_population,
@@ -216,11 +218,20 @@ def _golden_artifacts(config: CampaignConfig,
                                 lambda: _compute_golden(config))
 
 
+def _reject_non_finite(y: np.ndarray, rows: np.ndarray) -> None:
+    """Raise :class:`InvalidTraceError` naming the non-finite rows of
+    ``y`` (whose rows are stack rows ``rows``)."""
+    bad = ~np.isfinite(y).all(axis=1)
+    if bad.any():
+        raise InvalidTraceError.non_finite(rows[bad])
+
+
 def _encode_stack(encoder: ZoneEncoder, golden: GoldenArtifacts,
                   x: np.ndarray, y: np.ndarray,
                   exact_rows: Optional[Callable[[np.ndarray],
                                                 np.ndarray]] = None,
-                  trace_error: Optional[np.ndarray] = None) -> np.ndarray:
+                  trace_error: Optional[np.ndarray] = None,
+                  measured: bool = False) -> np.ndarray:
     """Zone codes of a trace stack, bit-identical to the exact kernel.
 
     With a 1-D ``x`` equal to the golden's and a threshold table, the
@@ -230,15 +241,24 @@ def _encode_stack(encoder: ZoneEncoder, golden: GoldenArtifacts,
     whose rows stay within ``trace_error`` volts of exact; redone rows
     are re-synthesized exactly first.  Anything else (2-D noisy ``x``,
     banks without a table) takes :func:`batch_codes` on exact traces.
+    ``measured`` marks ``y`` as measured input: a row holding NaN or
+    infinite samples raises :class:`InvalidTraceError` instead of
+    being encoded.
     """
     table = golden.table
     if table is None or not np.array_equal(x, golden.x):
         if exact_rows is not None:
             y = exact_rows(np.arange(y.shape[0]))
+        if measured:
+            _reject_non_finite(y, np.arange(y.shape[0]))
         return batch_codes(encoder, x, y)
     codes, rows = table.encode(y, trace_error)
     if rows.size:
         redo = y[rows] if exact_rows is None else exact_rows(rows)
+        if measured:
+            # A non-finite row always fails the table's range check,
+            # so checking the redone rows covers the whole stack.
+            _reject_non_finite(redo, rows)
         codes[rows] = batch_codes(encoder, x, redo)
     registry = default_registry()
     registry.counter("encode_rows_total", path="table").inc(
@@ -253,7 +273,8 @@ def _score_code_stack(config: CampaignConfig, golden: GoldenArtifacts,
                       cache: Optional[GoldenCache] = None,
                       exact_rows: Optional[Callable[[np.ndarray],
                                                     np.ndarray]] = None,
-                      trace_error: Optional[np.ndarray] = None
+                      trace_error: Optional[np.ndarray] = None,
+                      measured: bool = False
                       ) -> Tuple[np.ndarray,
                                  Union[None, SignatureBatch,
                                        MultiSignatureBatch]]:
@@ -261,7 +282,9 @@ def _score_code_stack(config: CampaignConfig, golden: GoldenArtifacts,
 
     ``exact_rows``/``trace_error`` mark ``y`` as a synthesized stack
     (see :func:`_encode_stack`); every channel's codes stay
-    bit-identical to encoding the exact traces.
+    bit-identical to encoding the exact traces.  ``measured`` marks it
+    as measured input, checked for non-finite rows by the primary
+    channel's encode.
 
     With ``collect`` the packed :class:`SignatureBatch` of the stack is
     returned alongside the NDFs (the diagnosis subsystem consumes it);
@@ -278,7 +301,7 @@ def _score_code_stack(config: CampaignConfig, golden: GoldenArtifacts,
     dies = int(y.shape[0])
     with _stage(timing, "encode", dies=dies):
         codes = _encode_stack(config.encoder, golden, x, y, exact_rows,
-                              trace_error)
+                              trace_error, measured)
     with _stage(timing, "signature", dies=dies):
         batch = batch_extract(golden.times, codes, golden.period)
     with _stage(timing, "ndf", dies=dies):
@@ -401,7 +424,8 @@ def _trace_rows_ndfs(config: CampaignConfig, y_rows: np.ndarray,
     with _stage(timing, "golden"):
         golden = _golden_artifacts(config, cache)
     values, batch = _score_code_stack(config, golden, golden.x, y_rows,
-                                      timing, collect, cache)
+                                      timing, collect, cache,
+                                      measured=True)
     return values, timing, batch
 
 
@@ -508,6 +532,10 @@ class CampaignEngine:
         longer share state implicitly.
     executor:
         Chunk scheduler; :class:`SerialExecutor` when omitted.
+
+    The first pipe-mode sharded submission spawns the engine's shard
+    workers; later ones reuse them.  :meth:`close` shuts them down
+    (so do garbage collection and interpreter exit).
     """
 
     def __init__(self, config: CampaignConfig,
@@ -517,6 +545,20 @@ class CampaignEngine:
         self.cache = cache if cache is not None else GoldenCache()
         self.executor = executor if executor is not None \
             else SerialExecutor()
+        self._shard_pool = None
+        self._shard_pool_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Shut down the engine's idle shard workers (if any were
+        spawned).
+
+        The engine stays usable: a later sharded submission spawns a
+        fresh pool.
+        """
+        with self._shard_pool_lock:
+            pool, self._shard_pool = self._shard_pool, None
+        if pool is not None:
+            pool.close()
 
     @classmethod
     def from_parts(cls, encoder: ZoneEncoder, stimulus: Multitone,
@@ -1051,7 +1093,9 @@ class CampaignEngine:
         :meth:`run_stream` over the same fleet.  A worker that dies or
         stalls past the ``heartbeat`` deadline has its shard
         reassigned, resuming from the shard's last checkpoint -- never
-        from zero.  See ``docs/sharding.md``.
+        from zero.  The workers outlive the call: the engine's next
+        sharded campaign reuses them (see :meth:`close`).  See
+        ``docs/sharding.md``.
 
         ``shard_size`` caps dies per shard, yielding more shards than
         workers -- finer-grained reassignment on worker loss.  The
@@ -1091,10 +1135,16 @@ class CampaignEngine:
         start = time.perf_counter()
         fleet = as_fleet(request.population)
         threshold = self._resolve_threshold(request.band)
-        listen = None
+        listen = pool = None
         if request.shard_listen is not None:
             from repro.shard.transport import parse_endpoint
             listen = parse_endpoint(request.shard_listen)
+        else:
+            from repro.shard.pool import WorkerPool
+            with self._shard_pool_lock:
+                if self._shard_pool is None:
+                    self._shard_pool = WorkerPool()
+                pool = self._shard_pool
         coordinator = ShardCoordinator(
             config=self.config, threshold=threshold, fleet=fleet,
             shards=request.shards, shard_size=request.shard_size,
@@ -1102,7 +1152,9 @@ class CampaignEngine:
             workdir=request.shard_workdir,
             heartbeat=request.shard_heartbeat,
             listen=listen,
-            autotune_target_s=request.shard_autotune_s)
+            autotune_target_s=request.shard_autotune_s,
+            pool=pool,
+            golden=self.golden())
         merged, stats = coordinator.run()
         values = merged.values(self._empty_values())
         timing = dict(merged.timing)
@@ -1259,24 +1311,35 @@ class CampaignEngine:
             return (self._empty_values(), {"golden": 0.0}, [],
                     self._empty_batch(collect))
         stack = population.y_stack
+        if stack.shape[1] != self.config.samples_per_period:
+            raise InvalidTraceError(
+                f"trace rows have {stack.shape[1]} samples; this "
+                f"configuration captures "
+                f"{self.config.samples_per_period} per period")
         chunk_size = self._pool_chunk_size(n, self.config.chunk_size)
         ranges = [(lo, min(lo + chunk_size, n))
                   for lo in range(0, n, chunk_size)]
         map_shared = getattr(self.executor, "map_shared", None)
-        if map_shared is not None:
-            outputs = map_shared(
-                _trace_chunk_worker_shm, stack,
-                lambda handle: [(self.config, handle, lo, hi, collect)
-                                for lo, hi in ranges])
-        elif getattr(self.executor, "needs_picklable_work", False):
-            payloads = [(self.config, stack[lo:hi], collect)
-                        for lo, hi in ranges]
-            outputs = self.executor.map(_trace_chunk_worker, payloads)
-        else:
-            outputs = self.executor.map(
-                lambda bounds: _trace_rows_ndfs(
-                    self.config, stack[bounds[0]:bounds[1]],
-                    self.cache, collect), ranges)
+        try:
+            if map_shared is not None:
+                outputs = map_shared(
+                    _trace_chunk_worker_shm, stack,
+                    lambda handle: [(self.config, handle, lo, hi,
+                                     collect) for lo, hi in ranges])
+            elif getattr(self.executor, "needs_picklable_work", False):
+                payloads = [(self.config, stack[lo:hi], collect)
+                            for lo, hi in ranges]
+                outputs = self.executor.map(_trace_chunk_worker,
+                                            payloads)
+            else:
+                outputs = self.executor.map(
+                    lambda bounds: _trace_rows_ndfs(
+                        self.config, stack[bounds[0]:bounds[1]],
+                        self.cache, collect), ranges)
+        except InvalidTraceError:
+            # Chunks name chunk-local rows: rename them globally.
+            raise InvalidTraceError.non_finite(np.flatnonzero(
+                ~np.isfinite(stack).all(axis=1))) from None
         values, timing, batch = self._merge_outputs(outputs, collect)
         return values, timing, list(population.labels), batch
 

@@ -93,6 +93,46 @@ class CutListPopulation:
         return len(self.cuts)
 
 
+class InvalidTraceError(ValueError):
+    """A trace stack the screen refuses to score.
+
+    Raised for non-finite samples (``rows`` names the offending rows)
+    and for rows whose sample count differs from the others or from
+    the configuration's capture grid -- never a silent verdict or a
+    raw numpy broadcast error.
+    """
+
+    def __init__(self, message: str, rows: Sequence[int] = ()) -> None:
+        super().__init__(message)
+        self.rows = tuple(int(r) for r in rows)
+
+    @classmethod
+    def non_finite(cls, rows: Sequence[int]) -> "InvalidTraceError":
+        rows = [int(r) for r in rows]
+        shown = ", ".join(map(str, rows[:8])) + (
+            ", ..." if len(rows) > 8 else "")
+        return cls(f"{len(rows)} trace row(s) hold NaN or infinite "
+                   f"samples: rows [{shown}]", rows)
+
+
+def _as_trace_stack(rows) -> np.ndarray:
+    """``(N, samples)`` float stack, or :class:`InvalidTraceError`."""
+    try:
+        stack = np.atleast_2d(np.asarray(rows, dtype=float))
+    except ValueError:
+        # Ragged rows: name the ones off the most common length.
+        lengths = [np.size(row) for row in rows]
+        common = max(set(lengths), key=lengths.count)
+        odd = [i for i, n in enumerate(lengths) if n != common]
+        raise InvalidTraceError(
+            f"trace rows {odd} have {[lengths[i] for i in odd]} "
+            f"samples; the other rows have {common}", odd) from None
+    if stack.ndim != 2:
+        raise InvalidTraceError(
+            f"a trace stack is (N, samples); got shape {stack.shape}")
+    return stack
+
+
 @dataclass
 class TracePopulation:
     """N captured response traces ``(N, samples)`` on the shared grid.
@@ -107,8 +147,7 @@ class TracePopulation:
     labels: List[str]
 
     def __post_init__(self) -> None:
-        self.y_stack = np.atleast_2d(np.asarray(self.y_stack,
-                                                dtype=float))
+        self.y_stack = _as_trace_stack(self.y_stack)
         if len(self.labels) != self.y_stack.shape[0]:
             raise ValueError("labels must align with the trace stack")
 
@@ -120,7 +159,7 @@ def trace_population(y_stack: np.ndarray,
                      labels: Optional[Sequence[str]] = None
                      ) -> TracePopulation:
     """Wrap a measured ``(N, samples)`` stack as a population."""
-    y_stack = np.atleast_2d(np.asarray(y_stack, dtype=float))
+    y_stack = _as_trace_stack(y_stack)
     if labels is None:
         labels = [f"trace{i:05d}" for i in range(y_stack.shape[0])]
     return TracePopulation(y_stack, list(labels))

@@ -617,6 +617,7 @@ def _cmd_campaign(setup, args) -> int:
                                         workers=args.workers,
                                         listen=args.listen,
                                         autotune_s=args.shard_autotune)
+            engine.close()  # one campaign per CLI run: reap workers
         elif args.repeats:
             population, __ = _campaign_population(setup, args)
             result = engine.run_noise(population,

@@ -401,13 +401,28 @@ class SignatureBatch:
                            gold_k[source])).astype(np.int64)
         contributions = distances * widths
 
-        # Per-row reduction.  np.sum over a contiguous slice of the
-        # same length reproduces the scalar metric's pairwise-summation
-        # tree exactly; a reduceat here would be sequential and could
-        # drift by an ulp.
+        # Per-row reduction, grouped by row length: rows of one length
+        # gather into a contiguous (m, L) block whose sum(axis=1) runs
+        # the same pairwise-summation tree per row as np.sum over each
+        # 1-D slice (which is what the scalar metric does), so the
+        # values are bit-identical; a reduceat here would be
+        # sequential and could drift by an ulp.  Blocks hold at most
+        # 8192 values (64 KiB), below glibc's mmap threshold: a larger
+        # freed block raises that threshold for the rest of the
+        # process and changes how every later allocation is served.
         values = np.empty(n)
-        for i in range(n):
-            values[i] = contributions[off_k[i]:off_k[i + 1]].sum()
+        lengths = np.diff(off_k)
+        order = np.argsort(lengths, kind="stable")
+        sizes, starts = np.unique(lengths[order], return_index=True)
+        bounds = np.append(starts, n)
+        for size, lo, hi in zip(sizes.tolist(), bounds[:-1].tolist(),
+                                bounds[1:].tolist()):
+            step = max(1, 8192 // size)
+            for first in range(lo, hi, step):
+                rows = order[first:min(first + step, hi)]
+                block = contributions[off_k[rows][:, None]
+                                      + np.arange(size)]
+                values[rows] = block.sum(axis=1)
         return values / period
 
 

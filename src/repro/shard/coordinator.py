@@ -9,13 +9,16 @@ One :class:`ShardCoordinator` owns a sharded campaign end to end:
    rate (:class:`~repro.shard.planner.ShardAutotuner`), so slow hosts
    get smaller slices and the ranges still tile ``[0, N)``.
 2. **Dispatch** -- workers reach the coordinator through a
-   :class:`~repro.shard.transport.Transport`: spawned subprocesses
-   over stdio pipes (the default), or remote processes that dialed a
+   :class:`~repro.shard.transport.Transport`: subprocesses over stdio
+   pipes borrowed from a :class:`~repro.shard.pool.WorkerPool` (the
+   default; an engine's pool outlives the campaign, so later
+   campaigns reuse warm workers), or remote processes that dialed a
    ``listen`` TCP endpoint (``repro shard-worker --connect``).  Each
    gets an ``init`` (pickled config, the threshold resolved *once* in
-   this process, the fleet description, the trace context) and then
-   ``assign`` messages; a reader thread per worker funnels its
-   protocol lines into one queue.  A worker that dials in mid-
+   this process, the fleet description, this process's golden
+   artifacts, the trace context) and then ``assign`` messages; each
+   channel's reader thread funnels its protocol lines into one
+   queue.  A worker that dials in mid-
    campaign -- a late rejoin -- is init-ed on accept and handed
    pending shards like any other.
 3. **Watch** -- workers heartbeat every ``heartbeat/2`` seconds and
@@ -50,8 +53,10 @@ come home pid- and host-stamped through the ``done`` message.
 
 The drill hook: ``REPRO_SHARD_WORKER_FAULTS`` in the coordinator's
 environment is forwarded (as ``REPRO_FAULTS``) to the *first* spawned
-worker only, and ``REPRO_FAULTS`` itself is stripped from every worker
-environment -- so ``shard.worker.kill`` SIGKILLs exactly one worker
+worker only (slot 0 is spawned fresh for it, so the drill always
+lands, and that worker is never handed back to the pool), and
+``REPRO_FAULTS`` itself is stripped from every worker environment --
+so ``shard.worker.kill`` SIGKILLs exactly one worker
 and the respawned replacement cannot inherit the same death.  The
 ``shard.transport.*`` fault points break the channel itself
 (:mod:`repro.shard.transport`).
@@ -64,13 +69,11 @@ import math
 import os
 import queue
 import shutil
-import subprocess
-import sys
 import tempfile
 import threading
 import time
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.campaign.checkpoint import StreamCheckpoint
 from repro.obs.logs import log_event
@@ -82,15 +85,15 @@ from repro.obs.trace import (
     span,
 )
 from repro.shard.planner import Shard, ShardAutotuner, plan_shards
+from repro.shard.pool import WorkerPool, shutdown_transports
 from repro.shard.protocol import (
     assign_message,
     decode_message,
     encode_message,
     init_message,
-    shutdown_message,
+    pack_artifact,
 )
 from repro.shard.transport import (
-    PipeTransport,
     SocketListener,
     Transport,
     TransportClosed,
@@ -193,6 +196,14 @@ class ShardCoordinator:
         Listening mode only: seconds the coordinator waits with work
         pending and *zero* connected workers before failing the
         campaign (default :data:`STARTUP_GRACE`).
+    pool:
+        Pipe mode: the :class:`~repro.shard.pool.WorkerPool` to borrow
+        workers from; its live workers are reused and handed back
+        when the campaign ends.  None builds a private pool that is
+        closed when :meth:`run` returns.
+    golden:
+        The configuration's golden artifacts, shipped to every worker
+        in ``init``; computed here when None.
     """
 
     def __init__(self, config, threshold: Optional[float], fleet,
@@ -205,7 +216,9 @@ class ShardCoordinator:
                  listen: Optional[Tuple[str, int]] = None,
                  autotune_target_s: Optional[float] = None,
                  progress_timeout: Optional[float] = None,
-                 rejoin_grace: float = STARTUP_GRACE) -> None:
+                 rejoin_grace: float = STARTUP_GRACE,
+                 pool: Optional[WorkerPool] = None,
+                 golden=None) -> None:
         self.config = config
         self.threshold = None if threshold is None else float(threshold)
         self.fleet = fleet
@@ -244,11 +257,18 @@ class ShardCoordinator:
                          if self.remote and workers is not None else 1)
         self._workdir = workdir
         self._own_workdir = workdir is None
+        self._pool = pool
+        self._golden = golden
+        self._golden_b64: Optional[str] = None
         self._queue: "queue.Queue[Tuple[Optional[int], dict]]" = \
             queue.Queue()
         self._workers: Dict[int, _Worker] = {}
         self._next_slot = 0
         self._drill_faults = os.environ.get(WORKER_FAULTS_ENV)
+        self._env: Dict[str, str] = {}
+        # The one worker spawned with the drill's faults: never given
+        # back, so no later campaign borrows an armed process.
+        self._armed: Optional[Transport] = None
         self._trace_context = None
         self._accept_stop = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
@@ -280,48 +300,39 @@ class ShardCoordinator:
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = src_root if not existing \
             else src_root + os.pathsep + existing
-        if self._drill_faults:
-            env["REPRO_FAULTS"] = self._drill_faults
-            self._drill_faults = None  # first spawn only
         return env
 
     def _spawn(self, slot: int, generation: int) -> _Worker:
-        stderr_path = os.path.join(
-            self._workdir, f"worker_{slot}_g{generation}.stderr.log")
-        with open(stderr_path, "w") as stderr_file:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro", "shard-worker"],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=stderr_file,
-                env=self._worker_env(), text=True, bufsize=1)
-        transport = PipeTransport(proc, stderr_path)
+        env = self._env
+        if self._drill_faults:
+            env = {**env, "REPRO_FAULTS": self._drill_faults}
+        transport = self._pool.spawn(slot, env)
+        if self._drill_faults:
+            self._armed = transport
+            self._drill_faults = None  # first spawn only
         worker = self._admit(slot, transport, generation)
         log_event("shard.worker.spawned", slot=slot,
-                  generation=generation, pid=proc.pid)
+                  generation=generation, pid=transport.proc.pid)
         return worker
 
     def _admit(self, slot: int, transport: Transport,
                generation: int) -> _Worker:
-        """Register a channel: send ``init``, start its reader."""
+        """Register a channel: route its lines here, send ``init``."""
         worker = _Worker(slot, transport, generation)
         self._workers[slot] = worker
         self.stats["workers"] = max(self.stats["workers"],
                                     float(len(self._workers)))
         context = self._trace_context if self._trace_context \
             is not None else current_trace_context()
+        transport.attach(self._sink(slot, generation))
         try:
             transport.send_line(encode_message(init_message(
                 self.config, self.threshold, self.fleet,
                 self.checkpoint_every, self.heartbeat,
                 None if context is None else context.to_dict(),
-                remote=worker.remote)))
+                remote=worker.remote, golden_b64=self._golden_b64)))
         except TransportClosed:
-            pass  # the reader loop's EOF will declare it lost
-        reader = threading.Thread(
-            target=self._reader_loop, args=(slot, generation,
-                                            transport),
-            daemon=True, name=f"shard-reader-{slot}")
-        reader.start()
+            pass  # the reader's EOF will declare it lost
         return worker
 
     def _accept_loop(self) -> None:
@@ -331,21 +342,22 @@ class ShardCoordinator:
                 self._queue.put((None, {"type": "_connect",
                                         "transport": transport}))
 
-    def _reader_loop(self, slot: int, generation: int,
-                     transport: Transport) -> None:
-        for line in transport.lines():
-            try:
-                message = decode_message(line)
-            except ValueError:
-                # Protocol desync: there is no way to trust anything
-                # after an undecodable line, so this worker is lost
-                # (the coordinator survives; the worker does not).
-                self._queue.put((slot, {"_gen": generation,
-                                        "type": "_garbage",
-                                        "line": line[:200]}))
-                return
-            self._queue.put((slot, {"_gen": generation, **message}))
-        self._queue.put((slot, {"_gen": generation, "type": "_eof"}))
+    def _sink(self, slot: int, generation: int
+              ) -> Callable[[Optional[str]], None]:
+        """This campaign's receiver for one channel's lines."""
+        def deliver(line: Optional[str]) -> None:
+            if line is None:
+                message = {"type": "_eof"}
+            else:
+                try:
+                    message = decode_message(line)
+                except ValueError:
+                    # Protocol desync: nothing after an undecodable
+                    # line can be trusted, so this worker is lost
+                    # (the coordinator survives; the worker does not).
+                    message = {"type": "_garbage", "line": line[:200]}
+            self._queue.put((slot, {**message, "_gen": generation}))
+        return deliver
 
     def _send(self, worker: _Worker,
               message: Dict[str, object]) -> bool:
@@ -360,8 +372,18 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     def run(self) -> Tuple[StreamCheckpoint, Dict[str, float]]:
         """Execute every shard and merge; returns ``(merged, stats)``."""
+        golden = self._golden
+        if golden is None:
+            from repro.campaign.engine import CampaignEngine
+
+            golden = CampaignEngine(self.config).golden()
+        self._golden_b64 = pack_artifact(self.config.golden_key(),
+                                         golden)
         if self._workdir is None:
             self._workdir = tempfile.mkdtemp(prefix="repro-shards-")
+        own_pool = self._pool is None and not self.remote
+        if own_pool:
+            self._pool = WorkerPool()
         try:
             with span("shard.campaign",
                       shards=len(self.plan) or None,
@@ -381,7 +403,10 @@ class ShardCoordinator:
             return merged, dict(self.stats)
         finally:
             self._stop_accepting()
-            self._shutdown_workers()
+            self._release_workers()
+            if own_pool:
+                self._pool.close()
+                self._pool = None
 
     def _stop_accepting(self) -> None:
         self._accept_stop.set()
@@ -479,6 +504,21 @@ class ShardCoordinator:
         if not self.remote:
             self._spawn(worker.index, worker.generation + 1)
 
+    def _borrow_workers(self) -> None:
+        """Pipe mode: borrow each slot's idle pooled worker, spawning
+        where none fits.  Slot 0 of a drill is always spawned fresh,
+        so the drill's faults land in a new process."""
+        self._env = self._worker_env()
+        for slot in range(self.num_workers):
+            transport = None if slot == 0 and self._drill_faults \
+                else self._pool.take(slot, self._env)
+            if transport is None:
+                self._spawn(slot, generation=0)
+            else:
+                self._admit(slot, transport, generation=0)
+                log_event("shard.worker.reused", slot=slot,
+                          pid=transport.proc.pid)
+
     def _work_remaining(self, pending: "deque[Shard]",
                         done: Dict[int, str]) -> bool:
         return (len(done) < len(self._carved)
@@ -491,9 +531,7 @@ class ShardCoordinator:
         attempts: Dict[int, int] = {}
         done: Dict[int, str] = {}
         if not self.remote:
-            for slot in range(self.num_workers):
-                self._spawn(slot, generation=0)
-            self._next_slot = self.num_workers
+            self._borrow_workers()
         tick = max(0.05, min(0.5, self.heartbeat / 4.0))
         workerless_since: Optional[float] = (
             time.monotonic() if self.remote else None)
@@ -553,6 +591,8 @@ class ShardCoordinator:
                 if kind == "hello":
                     worker.hello_seen = True
                     worker.host = message.get("host")
+                    log_event("shard.worker.ready", worker=slot,
+                              pid=message.get("pid"), host=worker.host)
                 elif kind == "progress":
                     worker.last_progress = time.monotonic()
                     shard = worker.shard
@@ -665,20 +705,23 @@ class ShardCoordinator:
             "shard_merge_seconds").observe(elapsed)
         return merged
 
-    def _shutdown_workers(self) -> None:
+    def _release_workers(self) -> None:
+        """End of campaign: pipe workers that finished cleanly go back
+        to the pool; busy ones (whose stale lines must never reach the
+        next campaign) and the drill's armed one are killed; remote
+        workers are shut down."""
+        remote = []
         for worker in self._workers.values():
             transport = worker.transport
-            if not transport.alive():
-                continue
-            if not self._send(worker, shutdown_message()):
-                transport.kill()
-                continue
-            try:
-                transport.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                transport.kill()
+            transport.attach(None)
+            if worker.remote:
+                remote.append(transport)
+            elif (worker.shard is None and transport.alive()
+                  and transport is not self._armed):
+                self._pool.give_back(worker.index, transport, self._env)
             else:
-                transport.close()
+                transport.kill()
+        shutdown_transports(remote)
         self._workers.clear()
 
 

@@ -4,16 +4,26 @@ One JSON object per line -- the identical framing over a stdio pipe
 (:class:`~repro.shard.transport.PipeTransport`) or a TCP socket
 (:class:`~repro.shard.transport.SocketTransport`), which is why the
 worker entry point is a CLI command rather than a pool function.
-Binary payloads (the pickled :class:`CampaignConfig` and fleet) ride
-base64-encoded inside the ``init`` message; everything after that is
-plain JSON.
+Binary payloads (the pickled :class:`CampaignConfig` and fleet, the
+golden artifacts) ride base64-encoded inside the ``init`` message;
+everything after that is plain JSON.
+
+``init`` opens a campaign and may repeat: a pooled pipe worker idles
+after its last ``done`` and the next campaign's ``init`` replaces
+everything the previous one set (fleet, threshold, trace context,
+remote temp dir, heartbeat and checkpoint cadence).
 
 Coordinator -> worker
 ---------------------
-``init``      config_b64, threshold, fleet_b64, checkpoint_every,
-              heartbeat, trace (a ``TraceContext`` dict or null),
-              remote (true when no shared filesystem can be assumed:
-              the worker must return checkpoints inline)
+``init``      config_b64, threshold, fleet_b64, golden_b64 (the
+              coordinator's golden artifacts, threshold table
+              included, as :func:`repro.store.encode_artifact` bytes:
+              the worker seeds its cache with them and never builds a
+              golden; a damaged payload is refused with ``error``),
+              checkpoint_every, heartbeat, trace (a ``TraceContext``
+              dict or null), remote (true when no shared filesystem
+              can be assumed: the worker must return checkpoints
+              inline)
 ``assign``    shard (index), lo, hi, checkpoint (path); remote
               assignments add resume_b64 (base64 ``.npz`` bytes of
               the shard's last known checkpoint, or absent) so a
@@ -22,7 +32,7 @@ Coordinator -> worker
 
 Worker -> coordinator
 ---------------------
-``hello``     pid, host (after init: ready for assignments)
+``hello``     pid, host (after every init: ready for assignments)
 ``ping``      -- (heartbeat, every ``heartbeat/2`` seconds)
 ``progress``  shard, next_index (after each screened chunk); remote
               workers add checkpoint_b64 whenever the shard's
@@ -46,6 +56,8 @@ import base64
 import json
 import pickle
 from typing import Dict, Optional
+
+from repro.store import decode_artifact, encode_artifact
 
 
 def encode_message(message: Dict[str, object]) -> str:
@@ -77,12 +89,28 @@ def unpack_payload(data: str) -> object:
     return pickle.loads(base64.b64decode(data.encode("ascii")))
 
 
+def pack_artifact(key, value) -> str:
+    """Base64 :func:`~repro.store.encode_artifact` bytes (the golden
+    shipped in ``init``)."""
+    return base64.b64encode(encode_artifact(key, value)).decode("ascii")
+
+
+def unpack_artifact(key, data: object):
+    """Inverse of :func:`pack_artifact`; ``ValueError`` on a missing,
+    undecodable or checksum-failing payload."""
+    if not isinstance(data, str):
+        raise ValueError("no artifact payload")
+    return decode_artifact(key, base64.b64decode(data, validate=True))
+
+
 def init_message(config, threshold: Optional[float], fleet,
                  checkpoint_every: int, heartbeat: float,
                  trace: Optional[Dict[str, object]],
-                 remote: bool = False) -> Dict[str, object]:
+                 remote: bool = False,
+                 golden_b64: Optional[str] = None) -> Dict[str, object]:
     return {"type": "init", "config_b64": pack_payload(config),
             "threshold": threshold, "fleet_b64": pack_payload(fleet),
+            "golden_b64": golden_b64,
             "checkpoint_every": int(checkpoint_every),
             "heartbeat": float(heartbeat), "trace": trace,
             "remote": bool(remote)}
@@ -106,5 +134,5 @@ def shutdown_message() -> Dict[str, object]:
 
 
 __all__ = ["assign_message", "decode_message", "encode_message",
-           "init_message", "pack_payload", "shutdown_message",
-           "unpack_payload"]
+           "init_message", "pack_artifact", "pack_payload",
+           "shutdown_message", "unpack_artifact", "unpack_payload"]

@@ -40,8 +40,9 @@ from __future__ import annotations
 
 import socket
 import subprocess
+import threading
 import time
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from repro.obs.metrics import default_registry
 from repro.testing.faultinject import should_fail, slow_seconds
@@ -63,10 +64,17 @@ class Transport:
     Subclasses implement the raw carrier (:meth:`_write_line`,
     :meth:`_iter_lines`, :meth:`alive`, :meth:`close`, :meth:`kill`);
     the base class owns what must behave identically on every
-    carrier: byte accounting and the three network fault points.
+    carrier: byte accounting, the three network fault points and the
+    one reader thread per channel (:meth:`attach`).
     """
 
     kind = "abstract"
+
+    def __init__(self) -> None:
+        self._sink: Optional[Callable[[Optional[str]], None]] = None
+        self._sink_lock = threading.Lock()
+        self._reader_thread: Optional[threading.Thread] = None
+        self._eof = False
 
     # -- carrier hooks -------------------------------------------------
     def _write_line(self, line: str) -> None:
@@ -139,6 +147,40 @@ class Transport:
             _count_bytes("received", self.kind, line.rstrip("\n"))
             yield line
 
+    def attach(self, sink: Optional[Callable[[Optional[str]], None]]
+               ) -> None:
+        """Route received lines to ``sink`` (``sink(None)`` at EOF).
+
+        The channel has exactly one reader thread for its whole life,
+        started on the first attach; re-attaching only re-points it,
+        which is how a pooled worker moves from one campaign's
+        coordinator to the next.  Lines arriving while detached
+        (``sink=None``: heartbeats between campaigns) are dropped.  A
+        sink attached after EOF is told at once, so a worker that
+        died between campaigns is noticed by the next one.
+        """
+        with self._sink_lock:
+            self._sink = sink
+            eof = self._eof
+            if self._reader_thread is None:
+                self._reader_thread = threading.Thread(
+                    target=self._read_loop, daemon=True,
+                    name=f"shard-reader-{self.describe()}")
+                self._reader_thread.start()
+        if eof and sink is not None:
+            sink(None)
+
+    def _read_loop(self) -> None:
+        for line in self.lines():
+            sink = self._sink
+            if sink is not None:
+                sink(line)
+        with self._sink_lock:
+            self._eof = True
+            sink = self._sink
+        if sink is not None:
+            sink(None)
+
 
 class PipeTransport(Transport):
     """The spawned-subprocess carrier (stdin/stdout text pipes)."""
@@ -147,6 +189,7 @@ class PipeTransport(Transport):
 
     def __init__(self, proc: subprocess.Popen,
                  stderr_path: str) -> None:
+        super().__init__()
         self.proc = proc
         self.stderr_path = stderr_path
 
@@ -200,6 +243,7 @@ class SocketTransport(Transport):
 
     def __init__(self, sock: socket.socket,
                  peer: Optional[Tuple[str, int]] = None) -> None:
+        super().__init__()
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:

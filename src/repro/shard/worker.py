@@ -4,16 +4,18 @@ A worker speaks the :mod:`repro.shard.protocol` line protocol on
 stdin/stdout when the coordinator spawned it, or over a TCP socket
 when it dialed in with ``repro shard-worker --connect HOST:PORT``
 (the two carriers are byte-identical: the socket path simply wraps
-the connection in text streams and runs the same loop).  It receives
-one ``init`` (engine config, resolved threshold, fleet description,
-trace context, remote flag), then ``assign`` messages naming global
-die ranges.  Each assignment runs as an ordinary checkpointed
-streamed campaign (:meth:`CampaignEngine.run_stream`) over
-``fleet.chunks(lo, hi)`` into the shard's own checkpoint file --
-which is the whole trick: a shard worker *is* a streamed campaign
-whose checkpoint starts past another's, so every crash-safety and
-bit-identity property of PR 7's stream machinery carries over
-unchanged.
+the connection in text streams and runs the same loop).  Each
+campaign opens with an ``init`` (engine config, resolved threshold,
+fleet description, the coordinator's golden artifacts, trace context,
+remote flag), then ``assign`` messages naming global die ranges.  A
+pipe worker outlives its campaign: it idles after the last ``done``
+until the next ``init``, ``shutdown`` or stdin EOF (its parent died).
+Each assignment runs as an ordinary checkpointed streamed campaign
+(:meth:`CampaignEngine.run_stream`) over ``fleet.chunks(lo, hi)``
+into the shard's own checkpoint file -- which is the whole trick: a
+shard worker *is* a streamed campaign whose checkpoint starts past
+another's, so every crash-safety and bit-identity property of the
+checkpointed stream carries over unchanged.
 
 A *remote* worker (``init.remote`` true) assumes no shared
 filesystem: it checkpoints into its own temp dir, ships the archive
@@ -53,6 +55,7 @@ import threading
 import traceback
 from typing import Dict, List, Optional, TextIO
 
+from repro.campaign.cache import GoldenCache
 from repro.campaign.checkpoint import StreamCheckpoint
 from repro.campaign.engine import CampaignEngine
 from repro.obs.trace import (
@@ -62,8 +65,12 @@ from repro.obs.trace import (
     span,
     stamped_records,
 )
-from repro.shard.protocol import decode_message, encode_message
-from repro.shard.protocol import unpack_payload
+from repro.shard.protocol import (
+    decode_message,
+    encode_message,
+    unpack_artifact,
+    unpack_payload,
+)
 from repro.shard.transport import dial, parse_endpoint
 from repro.testing.faultinject import fail_if_armed, should_fail
 
@@ -130,51 +137,86 @@ def _progressing_chunks(chunks, emit: _Emitter, shard_index: int,
             os.kill(os.getpid(), signal.SIGKILL)
 
 
+class _Campaign:
+    """Everything one ``init`` sets up; the next ``init`` replaces it.
+
+    The fleet, the resolved threshold, the tracer, the remote temp dir
+    and the heartbeat/checkpoint cadence belong to one campaign.  The
+    shipped golden is seeded into the engine's cache, so no worker
+    ever builds a golden of its own.
+    """
+
+    def __init__(self, init: Dict[str, object], engine: CampaignEngine,
+                 emit: _Emitter) -> None:
+        config = engine.config
+        golden = unpack_artifact(config.golden_key(),
+                                 init.get("golden_b64"))
+        engine.cache.seed(config.golden_key(), golden)
+        self.fleet = unpack_payload(init["fleet_b64"])
+        self.threshold = init.get("threshold")
+        self.checkpoint_every = int(init.get("checkpoint_every", 1))
+        self.remote = bool(init.get("remote", False))
+        self.tracer = None
+        if init.get("trace") is not None:
+            self.tracer = context_tracer(
+                TraceContext.from_dict(init["trace"]))
+        install_tracer(self.tracer)
+        self.workdir = tempfile.mkdtemp(prefix="repro-shard-worker-") \
+            if self.remote else None
+        heartbeat = float(init.get("heartbeat", 5.0))
+        self._stop = threading.Event()
+        threading.Thread(
+            target=_heartbeat_loop, args=(emit, heartbeat / 2.0,
+                                          self._stop),
+            daemon=True, name="shard-heartbeat").start()
+
+    def close(self) -> None:
+        self._stop.set()
+        install_tracer(None)
+        if self.workdir is not None:
+            shutil.rmtree(self.workdir, ignore_errors=True)
+
+
 def worker_main(stdin: Optional[TextIO] = None,
                 stdout: Optional[TextIO] = None) -> int:
-    """Run the worker loop until ``shutdown`` or EOF; returns exit code."""
+    """Run the worker loop until ``shutdown`` or EOF; returns exit code.
+
+    Campaigns follow one another on the same process: each ``init``
+    tears down the previous campaign's state and sets up the next,
+    keeping the :class:`CampaignEngine` (and its cache) while the
+    configuration stays the same.
+    """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     emit = _Emitter(stdout)
-
-    init_line = stdin.readline()
-    if not init_line:
-        return 1
-    init = decode_message(init_line)
-    if init.get("type") != "init":
-        emit.send({"type": "error", "shard": None,
-                   "message": f"expected init, got {init.get('type')!r}"})
-        return 1
-    config = unpack_payload(init["config_b64"])
-    fleet = unpack_payload(init["fleet_b64"])
-    threshold = init.get("threshold")
-    checkpoint_every = int(init.get("checkpoint_every", 1))
-    heartbeat = float(init.get("heartbeat", 5.0))
-    remote = bool(init.get("remote", False))
-    tracer = None
-    if init.get("trace") is not None:
-        tracer = context_tracer(
-            TraceContext.from_dict(init["trace"]))
-        install_tracer(tracer)
-
-    engine = CampaignEngine(config)
-    workdir = tempfile.mkdtemp(prefix="repro-shard-worker-") \
-        if remote else None
-    stop = threading.Event()
-    pinger = threading.Thread(
-        target=_heartbeat_loop, args=(emit, heartbeat / 2.0, stop),
-        daemon=True, name="shard-heartbeat")
-    pinger.start()
-    emit.send({"type": "hello", "pid": os.getpid(),
-               "host": socket_module.gethostname()})
-
+    cache = GoldenCache()
+    engine: Optional[CampaignEngine] = None
+    config_b64 = None
+    campaign: Optional[_Campaign] = None
     try:
         for line in stdin:
             message = decode_message(line)
             kind = message.get("type")
             if kind == "shutdown":
                 break
-            if kind != "assign":
+            if kind == "init":
+                if campaign is not None:
+                    campaign.close()
+                    campaign = None
+                try:
+                    if message["config_b64"] != config_b64:
+                        engine = CampaignEngine(unpack_payload(
+                            message["config_b64"]), cache=cache)
+                        config_b64 = message["config_b64"]
+                    campaign = _Campaign(message, engine, emit)
+                except Exception as error:
+                    emit.send({"type": "error", "shard": None,
+                               "message": f"refused init: {error!r}"})
+                    return 1
+                emit.send({"type": "hello", "pid": os.getpid(),
+                           "host": socket_module.gethostname()})
+                continue
+            if kind != "assign" or campaign is None:
                 emit.send({"type": "error", "shard": None,
                            "message": f"unexpected message {kind!r}"})
                 return 1
@@ -182,24 +224,26 @@ def worker_main(stdin: Optional[TextIO] = None,
             lo, hi = int(message["lo"]), int(message["hi"])
             checkpoint = str(message["checkpoint"])
             local_path = checkpoint
-            if remote:
+            if campaign.remote:
                 # No shared filesystem: checkpoint locally, seeded
                 # from the bytes the coordinator kept for this shard.
                 local_path = os.path.join(
-                    workdir, os.path.basename(checkpoint))
+                    campaign.workdir, os.path.basename(checkpoint))
                 resume_b64 = message.get("resume_b64")
                 if resume_b64 is not None:
                     with open(local_path, "wb") as fh:
                         fh.write(base64.b64decode(resume_b64))
             try:
                 num_dies = _run_assignment(
-                    engine, fleet, emit, shard_index, lo, hi,
-                    local_path, threshold, checkpoint_every,
-                    ship_checkpoints=remote)
+                    engine, campaign.fleet, emit, shard_index, lo, hi,
+                    local_path, campaign.threshold,
+                    campaign.checkpoint_every,
+                    ship_checkpoints=campaign.remote)
             except Exception:
                 emit.send({"type": "error", "shard": shard_index,
                            "message": traceback.format_exc(limit=8)})
                 return 1
+            tracer = campaign.tracer
             rows = [] if tracer is None else stamped_records(tracer)
             if tracer is not None:
                 tracer.clear()
@@ -207,16 +251,15 @@ def worker_main(stdin: Optional[TextIO] = None,
                 "type": "done", "shard": shard_index,
                 "num_dies": num_dies, "checkpoint": checkpoint,
                 "spans": rows}
-            if remote:
+            if campaign.remote:
                 with open(local_path, "rb") as fh:
                     done["checkpoint_b64"] = base64.b64encode(
                         fh.read()).decode("ascii")
             emit.send(done)
-        return 0
+        return 0 if engine is not None else 1
     finally:
-        stop.set()
-        if workdir is not None:
-            shutil.rmtree(workdir, ignore_errors=True)
+        if campaign is not None:
+            campaign.close()
 
 
 def _run_assignment(engine: CampaignEngine, fleet, emit: _Emitter,

@@ -275,13 +275,7 @@ class ArtifactStore:
         kid = key_id(key)
         kind = str(key[0]) if isinstance(key, tuple) and key else "raw"
         with span("store.put", kind=kind):
-            buffer = io.BytesIO()
-            np.savez_compressed(
-                buffer,
-                __meta__=np.asarray(json.dumps(meta if meta is not None
-                                               else {})),
-                **arrays)
-            data = buffer.getvalue()
+            data = _npz_bytes(arrays, meta)
             digest = hashlib.sha256(data).hexdigest()
             filename = kid + ".npz"
             path = os.path.join(self.objects_dir, filename)
@@ -331,12 +325,7 @@ class ArtifactStore:
                 sp.set(outcome="quarantined")
                 return None
             try:
-                with np.load(io.BytesIO(data),
-                             allow_pickle=False) as archive:
-                    meta = json.loads(str(archive["__meta__"]))
-                    arrays = {name: archive[name]
-                              for name in archive.files
-                              if name != "__meta__"}
+                arrays, meta = _npz_read(data)
             except Exception:
                 # Checksum matched but the archive is undecodable
                 # (e.g. a truncated payload whose checksum was
@@ -432,6 +421,53 @@ class ArtifactStore:
         except Exception:
             self._count("_errors")
             return None
+
+
+# ----------------------------------------------------------------------
+# Payloads: (arrays, meta) <-> one .npz archive
+# ----------------------------------------------------------------------
+def _npz_bytes(arrays: Dict[str, np.ndarray],
+               meta: Optional[Dict]) -> bytes:
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, __meta__=np.asarray(json.dumps(
+        meta if meta is not None else {})), **arrays)
+    return buffer.getvalue()
+
+
+def _npz_read(data: bytes) -> Tuple[Dict[str, np.ndarray], Dict]:
+    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+        meta = json.loads(str(archive["__meta__"]))
+        arrays = {name: archive[name] for name in archive.files
+                  if name != "__meta__"}
+    return arrays, meta
+
+
+def encode_artifact(key, value) -> bytes:
+    """One cache value as self-checking bytes, for the wire.
+
+    The value goes through its kind's store codec into the store's
+    compressed ``.npz`` payload, prefixed with the payload's sha256
+    digest; :func:`decode_artifact` refuses any byte changed
+    in flight.  Raises ``ValueError`` for kinds without a codec.
+    """
+    codec = _codec_for(key)
+    if codec is None:
+        raise ValueError(f"no artifact codec for key {key!r}")
+    arrays, meta = codec.encode(value)
+    data = _npz_bytes(arrays, meta)
+    return hashlib.sha256(data).digest() + data
+
+
+def decode_artifact(key, blob: bytes):
+    """Inverse of :func:`encode_artifact`; ``ValueError`` on damage."""
+    codec = _codec_for(key)
+    if codec is None:
+        raise ValueError(f"no artifact codec for key {key!r}")
+    digest, data = blob[:32], blob[32:]
+    if hashlib.sha256(data).digest() != digest:
+        raise ValueError("artifact checksum mismatch")
+    arrays, meta = _npz_read(data)
+    return codec.decode(arrays, meta)
 
 
 # ----------------------------------------------------------------------
@@ -577,7 +613,9 @@ __all__ = [
     "STORE_ENV_VAR",
     "StoreInfo",
     "atomic_write_bytes",
+    "decode_artifact",
     "default_store_root",
+    "encode_artifact",
     "key_id",
     "persistable_kinds",
 ]

@@ -59,6 +59,47 @@ def test_fleet_matches_per_die_exactly(population):
     assert np.array_equal(packed.ndf_to(golden), expected)
 
 
+#: Run counts straddling numpy's pairwise-summation block sizes (8
+#: unrolled lanes, 128-element blocks): the fleet kernel sums rows of
+#: equal merged length as one 2-D block, which must match the 1-D
+#: per-row sums on either side of each boundary.
+BOUNDARY_RUNS = [1, 2, 7, 8, 9, 15, 16, 17, 120, 127, 128, 129, 136,
+                 255, 256, 257]
+
+
+@st.composite
+def mixed_length_populations(draw):
+    """Populations whose rows mix run counts across the boundaries,
+    plus up to 40 rows sharing one long run count (enough to split
+    that length's block into several)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    runs = draw(st.lists(st.sampled_from(BOUNDARY_RUNS), min_size=2,
+                         max_size=12))
+    runs += [draw(st.sampled_from(BOUNDARY_RUNS[-6:]))] * draw(
+        st.integers(0, 40))
+
+    def signature(n):
+        # No two neighbouring codes match, so a row keeps all n runs
+        # and rows of one run count share one merged length.
+        weights = rng.uniform(0.05, 1.0, n)
+        codes = np.cumsum(rng.integers(1, 64, n)) % 64
+        return Signature.from_pairs(
+            zip(codes.tolist(), (weights / weights.sum()
+                                 * PERIOD).tolist()), PERIOD)
+
+    golden = signature(int(rng.integers(1, 9)))
+    return golden, [signature(n) for n in runs]
+
+
+@given(mixed_length_populations())
+@settings(max_examples=40, deadline=None)
+def test_mixed_row_lengths_match_per_die_exactly(population):
+    golden, rows = population
+    packed = SignatureBatch.from_signatures(rows)
+    expected = np.asarray([ndf(row, golden) for row in rows])
+    assert np.array_equal(packed.ndf_to(golden), expected)
+
+
 @given(code_stacks())
 @settings(max_examples=50, deadline=None)
 def test_sampled_stack_matches_per_die_exactly(stack_case):

@@ -27,11 +27,14 @@ def _clean_faults(monkeypatch):
 
 @pytest.fixture()
 def small_engine():
-    """A fast private-cache engine over the paper bench (512 samples)."""
+    """A fast private-cache engine over the paper bench (512 samples);
+    its shard workers are shut down after the test."""
     from repro.campaign import CampaignEngine
     from repro.monitor.configurations import table1_encoder
     from repro.paper import PAPER_BIQUAD, PAPER_STIMULUS
 
-    return CampaignEngine.from_parts(
+    engine = CampaignEngine.from_parts(
         table1_encoder(), PAPER_STIMULUS, PAPER_BIQUAD,
         samples_per_period=SAMPLES)
+    yield engine
+    engine.close()  # reap the warm shard workers
