@@ -62,6 +62,7 @@ from repro.campaign import (
     CampaignEngine,
     GoldenCache,
     ProcessPoolExecutor,
+    ScreeningRequest,
     batch_biquad_traces,
     batch_codes,
     batch_extract,
@@ -669,10 +670,10 @@ def test_streamed_campaign_bounds_memory(bench_setup, report_writer):
 
     SCRATCH.clear()
     tracemalloc.start()
-    streamed = engine.run_stream(
-        stream_montecarlo_dies(bench_setup.golden_spec, n,
-                               chunk_size=chunk, sigma_f0=0.03,
-                               seed=37), band=None)
+    streamed = engine.submit(ScreeningRequest(
+        population=stream_montecarlo_dies(bench_setup.golden_spec, n,
+                                          chunk_size=chunk, sigma_f0=0.03,
+                                          seed=37), mode="stream", band=None))
     __, peak_streamed = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 

@@ -2,9 +2,10 @@
 
 Proofs for the shard layer (PR 9):
 
-* **bit-identity at every width** -- ``run_sharded`` over shards in
-  {1, 2, 4} returns NDF/verdict/deviation/label vectors byte-for-byte
-  equal to the monolithic streamed campaign over the same fleet;
+* **bit-identity at every width** -- a ``mode="sharded"`` campaign
+  over shards in {1, 2, 4} returns NDF/verdict/deviation/label vectors
+  byte-for-byte equal to the monolithic streamed campaign over the
+  same fleet;
 * **1-shard overhead gate** -- a single-shard campaign is the
   streamed campaign plus one worker process; its wall-clock must stay
   within a generous factor of the streamed reference plus a fixed
@@ -54,7 +55,8 @@ import time
 
 import numpy as np
 
-from repro.campaign import CampaignEngine, stream_montecarlo_dies
+from repro.campaign import (CampaignEngine, ScreeningRequest,
+                            stream_montecarlo_dies)
 from repro.monitor.configurations import table1_encoder
 from repro.obs import Tracer, install_tracer, uninstall_tracer
 from repro.obs.metrics import default_registry
@@ -100,11 +102,11 @@ def test_sharded_campaign_scaling():
     engine.band()  # calibrate outside every timed window
 
     start = time.perf_counter()
-    reference = engine.run_stream(
-        stream_montecarlo_dies(PAPER_BIQUAD, SHARD_N,
-                               chunk_size=SHARD_CHUNK,
-                               sigma_f0=SIGMA, seed=SEED),
-        band="auto")
+    reference = engine.submit(ScreeningRequest(
+        population=stream_montecarlo_dies(PAPER_BIQUAD, SHARD_N,
+                                          chunk_size=SHARD_CHUNK,
+                                          sigma_f0=SIGMA, seed=SEED),
+        mode="stream", band="auto"))
     stream_s = time.perf_counter() - start
 
     fleet = MonteCarloFleet(PAPER_BIQUAD, SHARD_N, sigma_f0=SIGMA,
@@ -115,8 +117,9 @@ def test_sharded_campaign_scaling():
         install_tracer(tracer)
         start = time.perf_counter()
         try:
-            result = engine.run_sharded(fleet, shards=shards,
-                                        band="auto", heartbeat=30.0)
+            result = engine.submit(ScreeningRequest(
+                population=fleet, mode="sharded", shards=shards, band="auto",
+                shard_heartbeat=30.0))
         finally:
             uninstall_tracer()
         wall = time.perf_counter() - start
@@ -222,17 +225,18 @@ def test_socket_vs_pipe_transport_overhead():
     engine.golden()
     engine.band()
 
-    reference = engine.run_stream(
-        stream_montecarlo_dies(PAPER_BIQUAD, SHARD_N,
-                               chunk_size=SHARD_CHUNK,
-                               sigma_f0=SIGMA, seed=SEED),
-        band="auto")
+    reference = engine.submit(ScreeningRequest(
+        population=stream_montecarlo_dies(PAPER_BIQUAD, SHARD_N,
+                                          chunk_size=SHARD_CHUNK,
+                                          sigma_f0=SIGMA, seed=SEED),
+        mode="stream", band="auto"))
     fleet = MonteCarloFleet(PAPER_BIQUAD, SHARD_N, sigma_f0=SIGMA,
                             seed=SEED, chunk_size=SHARD_CHUNK)
 
     start = time.perf_counter()
-    pipe_result = engine.run_sharded(fleet, shards=2, band="auto",
-                                     heartbeat=30.0)
+    pipe_result = engine.submit(ScreeningRequest(
+        population=fleet, mode="sharded", shards=2, band="auto",
+        shard_heartbeat=30.0))
     pipe_s = time.perf_counter() - start
     _assert_bit_identical(pipe_result, reference)
 
@@ -257,9 +261,9 @@ def test_socket_vs_pipe_transport_overhead():
         for _ in range(2)]
     try:
         start = time.perf_counter()
-        socket_result = engine.run_sharded(
-            fleet, shards=2, band="auto", heartbeat=30.0,
-            listen=f"127.0.0.1:{port}")
+        socket_result = engine.submit(ScreeningRequest(
+            population=fleet, mode="sharded", shards=2, band="auto",
+            shard_heartbeat=30.0, shard_listen=f"127.0.0.1:{port}"))
         socket_s = time.perf_counter() - start
     finally:
         for worker in workers:

@@ -31,6 +31,7 @@ from repro.campaign import (
     CampaignEngine,
     GoldenCache,
     ProcessPoolExecutor,
+    ScreeningRequest,
     SharedMemoryExecutor,
     montecarlo_dies,
     montecarlo_monitor_banks,
@@ -72,19 +73,21 @@ def main() -> None:
     print()
 
     print("=== streaming the same fleet in 256-die chunks ===")
-    streamed = engine.run_stream(
-        stream_montecarlo_dies(setup.golden_spec, 2000, chunk_size=256,
-                               sigma_f0=0.03, seed=42), band="auto")
+    streamed = engine.submit(ScreeningRequest(
+        population=stream_montecarlo_dies(
+            setup.golden_spec, 2000, chunk_size=256, sigma_f0=0.03,
+            seed=42),
+        mode="stream", band="auto"))
     same = np.array_equal(result.verdicts, streamed.verdicts)
     print(f"{streamed.executor}: verdicts bit-identical to the "
           f"monolithic run: {same}  (peak memory scales with the "
           f"chunk, not the fleet)\n")
 
     print("=== Section IV-C noise: 200 dies x 20 noisy repeats ===")
-    noisy = engine.run_noise(
-        montecarlo_dies(setup.golden_spec, 200, sigma_f0=0.03,
-                        seed=42),
-        repeats=20, seed=7, band="auto")
+    noisy = engine.submit(ScreeningRequest(
+        population=montecarlo_dies(setup.golden_spec, 200, sigma_f0=0.03,
+                                   seed=42),
+        mode="noise", repeats=20, seed=7, band="auto"))
     print(noisy.summary())
     rates = noisy.detection_rates()
     print(f"dies flagged in every repeat: "

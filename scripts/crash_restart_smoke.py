@@ -107,7 +107,8 @@ def phase_a_server_restart(args, store_root: str) -> None:
 
 
 def phase_b_campaign_resume(args, work_dir: str) -> None:
-    from repro.campaign import StreamCheckpoint, stream_montecarlo_dies
+    from repro.campaign import (ScreeningRequest, StreamCheckpoint,
+                                stream_montecarlo_dies)
     from repro.paper import paper_setup
 
     checkpoint = os.path.join(work_dir, "campaign.npz")
@@ -154,11 +155,11 @@ def phase_b_campaign_resume(args, work_dir: str) -> None:
     setup = paper_setup(samples_per_period=2048)
     engine = setup.campaign_engine(samples_per_period=args.samples,
                                    tolerance=0.05)
-    reference = engine.run_stream(
-        stream_montecarlo_dies(setup.golden_spec, args.stream_dies,
-                               chunk_size=args.chunk, sigma_f0=0.05,
-                               seed=29),
-        band="auto")
+    reference = engine.submit(ScreeningRequest(
+        population=stream_montecarlo_dies(setup.golden_spec, args.stream_dies,
+                                          chunk_size=args.chunk, sigma_f0=0.05,
+                                          seed=29), mode="stream",
+        band="auto"))
     resumed_ndfs = final.values(np.empty(0))
     np.testing.assert_array_equal(resumed_ndfs, reference.ndfs)
     np.testing.assert_array_equal(final.f0_deviations(),

@@ -65,7 +65,8 @@ def phase_a_kill_drill(args) -> None:
     """Kill one worker mid-shard; assert reassignment + bit-identity."""
     import numpy as np
 
-    from repro.campaign import CampaignEngine, montecarlo_dies
+    from repro.campaign import (CampaignEngine, ScreeningRequest,
+                                montecarlo_dies)
     from repro.monitor.configurations import table1_encoder
     from repro.obs import Tracer, install_tracer, uninstall_tracer
     from repro.obs.metrics import default_registry
@@ -89,8 +90,9 @@ def phase_a_kill_drill(args) -> None:
     tracer = Tracer()
     install_tracer(tracer)
     try:
-        sharded = engine.run_sharded(fleet, shards=args.shards,
-                                     band="auto", heartbeat=15.0)
+        sharded = engine.submit(ScreeningRequest(
+            population=fleet, mode="sharded", shards=args.shards, band="auto",
+            shard_heartbeat=15.0))
     finally:
         uninstall_tracer()
         os.environ.pop("REPRO_SHARD_WORKER_FAULTS", None)
@@ -233,7 +235,7 @@ def phase_d_warm_pool(args) -> None:
 
     import numpy as np
 
-    from repro.campaign import CampaignEngine
+    from repro.campaign import CampaignEngine, ScreeningRequest
     from repro.monitor.configurations import table1_encoder
     from repro.obs.logs import set_log_sink
     from repro.paper import PAPER_BIQUAD, PAPER_STIMULUS
@@ -251,11 +253,12 @@ def phase_d_warm_pool(args) -> None:
             fleet = MonteCarloFleet(PAPER_BIQUAD, args.dies,
                                     sigma_f0=args.sigma, seed=seed,
                                     chunk_size=args.chunk)
-            sharded = engine.run_sharded(fleet, shards=args.shards,
-                                         band=threshold,
-                                         heartbeat=15.0)
-            reference = engine.run_stream(
-                fleet.chunks(0, len(fleet)), band=threshold)
+            sharded = engine.submit(ScreeningRequest(
+                population=fleet, mode="sharded", shards=args.shards,
+                band=threshold, shard_heartbeat=15.0))
+            reference = engine.submit(ScreeningRequest(
+                population=fleet.chunks(0, len(fleet)), mode="stream",
+                band=threshold))
             assert np.array_equal(sharded.ndfs, reference.ndfs), \
                 f"campaign with seed {seed} differs from the stream"
             assert np.array_equal(sharded.verdicts, reference.verdicts)

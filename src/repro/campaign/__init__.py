@@ -32,7 +32,6 @@ from repro.campaign.batch import (
     batch_through_eval,
     sample_times,
     shared_basis_traces,
-    trace_population_ndf,
 )
 from repro.campaign.cache import (
     CacheInfo,
@@ -90,7 +89,6 @@ __all__ = [
     "batch_through_eval",
     "sample_times",
     "shared_basis_traces",
-    "trace_population_ndf",
     "CacheInfo",
     "GoldenArtifacts",
     "GoldenCache",
@@ -120,15 +118,3 @@ __all__ = [
     "temperature_corners",
     "trace_population",
 ]
-
-
-def __getattr__(name: str):
-    # Deprecated alias of the retired process-global backing store;
-    # importing it still works but warns (repro.campaign.cache emits
-    # the DeprecationWarning).
-    if name == "DEFAULT_CACHE":
-        from repro.campaign import cache
-
-        return cache.DEFAULT_CACHE
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

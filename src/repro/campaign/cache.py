@@ -28,7 +28,6 @@ unreadable artifact simply degrades to a recompute.
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Tuple
@@ -255,18 +254,3 @@ def encoder_key(encoder: ZoneEncoder) -> str:
 #: for it -- engines default to a private per-engine cache, and shared
 #: warm state is an explicit ``cache=`` hand-off.
 _PROCESS_CACHE = GoldenCache()
-
-
-def __getattr__(name: str):
-    # The old module-global backing store survives only as a
-    # deprecated alias; the engine no longer consults it implicitly.
-    if name == "DEFAULT_CACHE":
-        warnings.warn(
-            "repro.campaign.cache.DEFAULT_CACHE is deprecated: "
-            "CampaignEngine now defaults to a per-engine GoldenCache; "
-            "pass cache= explicitly to share golden artifacts between "
-            "engines (e.g. one repro.service.ScreeningSession)",
-            DeprecationWarning, stacklevel=2)
-        return _PROCESS_CACHE
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

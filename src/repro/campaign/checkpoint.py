@@ -1,8 +1,9 @@
 """Checkpoint/resume for streamed campaigns.
 
-A streamed campaign (:meth:`CampaignEngine.run_stream`) over a
-million-die fleet runs for a long time; if the process dies at die
-700k, everything is lost.  :class:`StreamCheckpoint` makes the stream
+A streamed campaign (a ``mode="stream"``
+:class:`~repro.campaign.request.ScreeningRequest`) over a million-die
+fleet runs for a long time; if the process dies at die 700k,
+everything is lost.  :class:`StreamCheckpoint` makes the stream
 crash-safe: the engine accumulates the per-chunk partial fleet stats
 (NDFs, ground-truth deviations, labels, stage timings) in one of these
 and periodically persists it -- atomically -- together with the **next
@@ -60,6 +61,13 @@ class CheckpointMismatch(ValueError):
     """Checkpoint was written under a different configuration."""
 
 
+def _joined(parts: List[np.ndarray], empty: np.ndarray) -> np.ndarray:
+    """Row-concatenate ``parts``; a single part passes through uncopied."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts, axis=0) if parts else empty
+
+
 class StreamCheckpoint:
     """Mergeable partial state of one streamed campaign.
 
@@ -113,13 +121,19 @@ class StreamCheckpoint:
         """Dies accumulated so far."""
         return len(self.labels)
 
-    def extend(self, values: np.ndarray, f0_devs: np.ndarray,
-               q_devs: np.ndarray, labels: List[str],
+    def extend(self, values: np.ndarray,
+               f0_devs: Optional[np.ndarray],
+               q_devs: Optional[np.ndarray], labels: List[str],
                timing: Dict[str, float]) -> None:
-        """Merge one screened chunk's outputs."""
+        """Merge one screened chunk's outputs.
+
+        ``f0_devs``/``q_devs`` are None for a population without
+        ground-truth deviations (traces, cuts, encoder banks).
+        """
         self.value_parts.append(np.asarray(values))
-        self.f0_parts.append(np.asarray(f0_devs, dtype=float))
-        self.q_parts.append(np.asarray(q_devs, dtype=float))
+        if f0_devs is not None:
+            self.f0_parts.append(np.asarray(f0_devs, dtype=float))
+            self.q_parts.append(np.asarray(q_devs, dtype=float))
         self.labels.extend(labels)
         for key, value in timing.items():
             self.timing[key] = self.timing.get(key, 0.0) + value
@@ -127,17 +141,13 @@ class StreamCheckpoint:
 
     def values(self, empty: np.ndarray) -> np.ndarray:
         """Accumulated NDFs (``empty``'s shape when no dies yet)."""
-        if not self.value_parts:
-            return empty
-        return np.concatenate(self.value_parts, axis=0)
+        return _joined(self.value_parts, empty)
 
     def f0_deviations(self) -> np.ndarray:
-        return (np.concatenate(self.f0_parts) if self.f0_parts
-                else np.empty(0))
+        return _joined(self.f0_parts, np.empty(0))
 
     def q_deviations(self) -> np.ndarray:
-        return (np.concatenate(self.q_parts) if self.q_parts
-                else np.empty(0))
+        return _joined(self.q_parts, np.empty(0))
 
     # ------------------------------------------------------------------
     # Persistence

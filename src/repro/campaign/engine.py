@@ -22,12 +22,14 @@ instead of once per die through
   pool, or over a shared-memory pool
   (:mod:`repro.campaign.executors`) with deterministic per-die
   seeding, so every executor yields bit-identical verdict vectors;
-* populations larger than memory stream through
-  :meth:`CampaignEngine.run_stream` (or simply by passing a generator
-  of chunks to :meth:`run`), keeping RSS bounded by the chunk size;
-* :meth:`CampaignEngine.run_noise` repeats every die's measurement
-  under fresh Section IV-C noise as one ``(N * repeats, samples)``
-  stack with per-die deterministic seeding;
+* every campaign enters through :meth:`CampaignEngine.submit` with a
+  :class:`~repro.campaign.request.ScreeningRequest` (:meth:`run` is
+  the one convenience wrapper); populations larger than memory stream
+  as ``mode="stream"`` chunks (or a generator of chunks passed to
+  :meth:`run`), keeping RSS bounded by the chunk size;
+* ``mode="noise"`` repeats every die's measurement under fresh
+  Section IV-C noise as one ``(N * repeats, samples)`` stack with
+  per-die deterministic seeding;
 * multi-signature screening (``run(..., encoders=[enc0, enc1])``)
   re-encodes the same trace stacks through extra monitor banks --
   per-channel NDFs/verdicts plus a combined OR-verdict, channel 0
@@ -51,6 +53,7 @@ Worked example (mirrors ``examples/campaign_fleet.py``)::
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections.abc import Iterable, Iterator
@@ -107,11 +110,14 @@ DEFAULT_CALIBRATION_DEVIATIONS: Tuple[float, ...] = tuple(
     np.linspace(-0.10, 0.10, 9))
 
 #: Entropy-domain tag ("Nois") mixed into the noise campaign's seed
-#: root, so run_noise(seed=s) never draws from the same per-die
-#: streams as montecarlo_dies(seed=s) -- measurement noise must stay
+#: root, so a noise campaign with seed=s never draws from the same
+#: per-die streams as montecarlo_dies(seed=s) -- measurement noise must stay
 #: statistically independent of the process deviations it is measured
 #: against, even when both use the same user-facing seed.
 NOISE_SEED_DOMAIN = 0x4E6F6973
+
+#: ``next()`` default marking an iterator that yielded nothing.
+_EXHAUSTED = object()
 
 Population = Union[SpecPopulation, CutListPopulation, EncoderPopulation,
                    TracePopulation, Sequence[BiquadSpec]]
@@ -327,14 +333,18 @@ def _score_code_stack(config: CampaignConfig, golden: GoldenArtifacts,
     return stacked, (MultiSignatureBatch(channels) if collect else None)
 
 
-def _spec_chunk_ndfs(config: CampaignConfig,
-                     specs: Sequence[BiquadSpec], cache: GoldenCache,
-                     collect: bool = False
-                     ) -> Tuple[np.ndarray, Dict[str, float],
-                                Optional[SignatureBatch]]:
+def _chunk_cache(cache: Optional[GoldenCache]) -> GoldenCache:
+    """A chunk payload's cache: None (a pool worker's payload) means
+    the worker process' own :data:`~repro.campaign.cache._PROCESS_CACHE`."""
+    return _PROCESS_CACHE if cache is None else cache
+
+
+def _spec_chunk_ndfs(payload) -> Tuple[np.ndarray, Dict[str, float],
+                                      Optional[SignatureBatch]]:
     """NDFs of a chunk of Biquad design points, object-free.
 
-    When every channel's golden carries a threshold table, traces come
+    ``payload`` is ``(config, specs, collect, cache)``.  When every
+    channel's golden carries a threshold table, traces come
     from the shared-basis GEMM
     (:func:`~repro.campaign.batch.shared_basis_traces`) and codes from
     the tables; rows a table cannot certify are re-synthesized by the
@@ -343,6 +353,8 @@ def _spec_chunk_ndfs(config: CampaignConfig,
     so codes, NDFs and verdicts stay bit-identical to the per-die
     flow.  Otherwise the chunk is one exact synthesis and encode.
     """
+    config, specs, collect, cache = payload
+    cache = _chunk_cache(cache)
     timing: Dict[str, float] = {}
     with _stage(timing, "golden"):
         golden = _golden_artifacts(config, cache)
@@ -407,19 +419,14 @@ def _response_chunk_ndfs(config: CampaignConfig, cuts: Sequence,
     return values, timing, batch
 
 
-def _spec_chunk_worker(payload
-                       ) -> Tuple[np.ndarray, Dict[str, float],
-                                  Optional[SignatureBatch]]:
-    """Pool-side entry point; uses the worker process' default cache."""
-    config, specs, collect = payload
-    return _spec_chunk_ndfs(config, specs, _PROCESS_CACHE, collect)
+def _trace_rows_ndfs(payload) -> Tuple[np.ndarray, Dict[str, float],
+                                      Optional[SignatureBatch]]:
+    """NDFs of a slice of measured traces on the shared grid.
 
-
-def _trace_rows_ndfs(config: CampaignConfig, y_rows: np.ndarray,
-                     cache: GoldenCache, collect: bool = False
-                     ) -> Tuple[np.ndarray, Dict[str, float],
-                                Optional[SignatureBatch]]:
-    """NDFs of a slice of measured traces on the shared grid."""
+    ``payload`` is ``(config, y_rows, collect, cache)``.
+    """
+    config, y_rows, collect, cache = payload
+    cache = _chunk_cache(cache)
     timing: Dict[str, float] = {}
     with _stage(timing, "golden"):
         golden = _golden_artifacts(config, cache)
@@ -427,15 +434,6 @@ def _trace_rows_ndfs(config: CampaignConfig, y_rows: np.ndarray,
                                       timing, collect, cache,
                                       measured=True)
     return values, timing, batch
-
-
-def _trace_chunk_worker(payload
-                        ) -> Tuple[np.ndarray, Dict[str, float],
-                                   Optional[SignatureBatch]]:
-    """Pool-side trace scoring: the chunk's rows travel pickled."""
-    config, y_rows, collect = payload
-    return _trace_rows_ndfs(config, np.asarray(y_rows),
-                            _PROCESS_CACHE, collect)
 
 
 def _trace_chunk_worker_shm(payload
@@ -454,27 +452,26 @@ def _trace_chunk_worker_shm(payload
     config, handle, start, stop, collect = payload
     stack, close = attach_shared_array(handle)
     try:
-        return _trace_rows_ndfs(config, stack[start:stop],
-                                _PROCESS_CACHE, collect)
+        return _trace_rows_ndfs((config, stack[start:stop], collect,
+                                 None))
     finally:
         close()
 
 
-def _noise_chunk_ndfs(config: CampaignConfig,
-                      specs: Sequence[BiquadSpec], children,
-                      repeats: int, three_sigma: float,
-                      cache: GoldenCache
-                      ) -> Tuple[np.ndarray, Dict[str, float]]:
+def _noise_chunk_ndfs(payload) -> Tuple[np.ndarray, Dict[str, float]]:
     """Noisy-repeat NDFs of a chunk of dies: an ``(n * R, T)`` stack.
 
-    Die ``i`` draws all of its ``repeats`` noise realizations (X then Y
-    per repeat) from its own spawned seed child, so the matrix is a
-    pure function of ``(seed, die index)`` -- chunking and streaming
-    never reshuffle noise.
+    ``payload`` is ``(config, specs, children, repeats, three_sigma,
+    cache)``.  Die ``i`` draws all of its ``repeats`` noise
+    realizations (X then Y per repeat) from its own spawned seed child
+    ``children[i]``, so the matrix is a pure function of ``(seed, die
+    index)`` -- chunking, executors and streaming never reshuffle
+    noise.
     """
+    config, specs, children, repeats, three_sigma, cache = payload
     timing: Dict[str, float] = {}
     with _stage(timing, "golden"):
-        golden = _golden_artifacts(config, cache)
+        golden = _golden_artifacts(config, _chunk_cache(cache))
     with _stage(timing, "traces", dies=len(specs)):
         y = batch_biquad_traces(specs, config.stimulus, golden.times)
     n, t = y.shape
@@ -497,19 +494,6 @@ def _noise_chunk_ndfs(config: CampaignConfig,
     return values.reshape(n, repeats), timing
 
 
-def _noise_chunk_worker(payload) -> Tuple[np.ndarray, Dict[str, float]]:
-    """Pool-side noise-campaign entry point.
-
-    The payload carries the chunk's specs and their pre-spawned seed
-    children; since every die's noise is a pure function of its child,
-    the matrix is independent of how the executor chunks the fleet --
-    pool and serial runs are bit-identical.
-    """
-    config, specs, children, repeats, three_sigma = payload
-    return _noise_chunk_ndfs(config, specs, children, repeats,
-                             three_sigma, _PROCESS_CACHE)
-
-
 def _merge_timing(total: Dict[str, float],
                   section: Dict[str, float]) -> None:
     for key, value in section.items():
@@ -527,9 +511,8 @@ class CampaignEngine:
         Golden/calibration cache.  Defaults to a fresh per-engine
         :class:`~repro.campaign.cache.GoldenCache`; pass one
         explicitly to share warm artifacts between engines (channel
-        engines and service sessions do).  The old process-global
-        ``DEFAULT_CACHE`` backing store is retired -- engines no
-        longer share state implicitly.
+        engines and service sessions do); engines never share state
+        implicitly.
     executor:
         Chunk scheduler; :class:`SerialExecutor` when omitted.
 
@@ -598,7 +581,7 @@ class CampaignEngine:
             population = deviation_sweep_population(
                 config.golden_spec, devs)
             values, __, __ = _spec_chunk_ndfs(
-                config, population.specs, self.cache)
+                (config, population.specs, False, self.cache))
             return ThresholdCalibration(np.asarray(devs), values)
 
         return self.cache.get_or_compute(key, compute)
@@ -658,11 +641,11 @@ class CampaignEngine:
                ) -> Union[CampaignResult, NoiseCampaignResult]:
         """Execute one :class:`~repro.campaign.request.ScreeningRequest`.
 
-        The unified entry point behind :meth:`run`, :meth:`run_stream`
-        and :meth:`run_noise` (all three are thin shims that build a
-        request and call this).  Service sessions and the coalescing
-        batcher submit requests directly; ``request.client`` is
-        ignored here -- it is service-layer bookkeeping.
+        The engine's one entry point: :meth:`run` and :meth:`resume`
+        build a request and call this, and so do the CLI, shard
+        workers, service sessions and the coalescing batcher.
+        ``request.client`` is ignored here -- it is service-layer
+        bookkeeping.
 
         With tracing enabled (:func:`repro.obs.tracing`) the whole
         submission runs under a ``campaign.submit`` span and every
@@ -672,13 +655,11 @@ class CampaignEngine:
         """
         with span("campaign.submit", mode=request.mode,
                   executor=getattr(self.executor, "name", "custom")):
-            if request.mode == "stream":
-                return self._submit_stream(request)
             if request.mode == "noise":
                 return self._submit_noise(request)
             if request.mode == "sharded":
                 return self._submit_sharded(request)
-            return self._submit_run(request)
+            return self._submit_chunks(request)
 
     def run(self, population: Union[Population, Iterable],
             band: Union[None, str, float, DecisionBand] = "auto",
@@ -712,62 +693,180 @@ class CampaignEngine:
         chunkable fast path) and trace stacks; cut and encoder
         populations always run in process, and the result's
         ``executor`` field reports what actually ran.  Passing a
-        generator/iterator of population *chunks* delegates to
-        :meth:`run_stream` (bounded memory); an iterator of individual
+        generator/iterator of population *chunks* streams them
+        (``mode="stream"``, bounded memory); an iterator of individual
         specs is simply materialized and run in one shot.
         """
         return self.submit(ScreeningRequest(
             population=population, mode="run", band=band,
             keep_signatures=keep_signatures, encoders=encoders))
 
-    def _submit_run(self, request: ScreeningRequest) -> CampaignResult:
-        population = request.population
-        band = request.band
-        keep_signatures = request.keep_signatures
-        if request.encoders is not None:
-            return self.with_encoders(request.encoders).run(
-                population, band, keep_signatures)
-        if isinstance(population, Iterator):
-            import itertools
+    def resume(self, checkpoint: str, chunks: Iterable,
+               band: Union[None, str, float, DecisionBand] = "auto",
+               checkpoint_every: int = 1,
+               stream_offset: int = 0) -> CampaignResult:
+        """Continue an interrupted checkpointed streamed campaign.
 
-            try:
-                first = next(population)
-            except StopIteration:
-                return self.run_stream(iter(()), band, keep_signatures)
-            rest = itertools.chain([first], population)
-            if isinstance(first, BiquadSpec):
-                population = list(rest)
-            else:
-                return self.run_stream(rest, band, keep_signatures)
-        start = time.perf_counter()
-        population = self._as_population(population)
-        threshold = self._resolve_threshold(band)
-        if isinstance(population, SpecPopulation):
-            values, timing, labels, batch = self._run_specs(
-                population, keep_signatures)
-            f0_devs = population.f0_deviations
-            q_devs = population.q_deviations
-            executor_name = getattr(self.executor, "name", "custom")
-        elif isinstance(population, TracePopulation):
-            values, timing, labels, batch = self._run_traces(
-                population, keep_signatures)
-            f0_devs = q_devs = None
-            executor_name = getattr(self.executor, "name", "custom")
-        elif isinstance(population, CutListPopulation):
-            values, timing, labels, batch = self._run_cuts(
-                population, keep_signatures)
-            f0_devs = q_devs = None
-            # Cut/encoder populations run in process: their per-die
-            # work is one vector op, not worth shipping to a pool.
-            executor_name = "serial"
+        ``checkpoint`` must exist (an interrupted checkpointed stream
+        left it); a missing file raises ``FileNotFoundError`` rather
+        than silently starting over -- start-over is what a plain
+        checkpointed ``mode="stream"`` submission does.  ``chunks``
+        re-supplies the population stream: either restarted from die 0
+        (the engine skips the screened prefix) or rebuilt mid-fleet
+        with ``stream_offset`` declaring its first global die index,
+        e.g. ``stream_montecarlo_dies(..., start=k)`` with
+        ``stream_offset=k``.  The returned result is bit-identical
+        (NDFs, verdicts, deviations, labels) to the uninterrupted
+        run's -- global-index-stable seeding plus chunk-boundary-
+        independent scoring make the merge exact.
+        """
+        from repro.campaign.checkpoint import StreamCheckpoint
+
+        StreamCheckpoint.load(checkpoint)  # must exist and parse
+        return self.submit(ScreeningRequest(
+            population=chunks, mode="stream", band=band,
+            checkpoint=checkpoint, checkpoint_every=checkpoint_every,
+            stream_offset=stream_offset))
+
+    def _submit_chunks(self, request: ScreeningRequest
+                       ) -> CampaignResult:
+        """``mode="run"`` and ``mode="stream"``: one chunk loop.
+
+        A one-shot population is a stream of one chunk.  Every chunk
+        goes through its per-kind runner and accumulates in a
+        :class:`~repro.campaign.checkpoint.StreamCheckpoint`; only a
+        request with a checkpoint path ever persists it.  A single
+        chunk's values and packed batch pass through uncopied.
+        """
+        from repro.testing.faultinject import fail_if_armed
+
+        if request.encoders is not None:
+            engine = self.with_encoders(request.encoders)
+            return engine.submit(replace(request, encoders=None))
+        chunks = request.population
+        streamed = request.mode == "stream"
+        if not streamed and isinstance(chunks, Iterator):
+            # An iterator of specs is one population; an iterator of
+            # population chunks (or an empty one) is a stream.
+            first = next(chunks, _EXHAUSTED)
+            chunks = itertools.chain(
+                () if first is _EXHAUSTED else (first,), chunks)
+            streamed = not isinstance(first, BiquadSpec)
+            if not streamed:
+                chunks = list(chunks)
+        name = getattr(self.executor, "name", "custom")
+        if streamed:
+            name += "+stream"
         else:
-            values, timing, labels, batch = self._run_encoders(
-                population, keep_signatures)
-            f0_devs = q_devs = None
-            executor_name = "serial"
-        return self._package_result(values, timing, labels, batch,
-                                    band, threshold, f0_devs, q_devs,
-                                    executor_name, start)
+            chunks = [self._as_population(chunks)]
+            if isinstance(chunks[0], (CutListPopulation,
+                                      EncoderPopulation)):
+                # Cut/encoder populations run in process: their
+                # per-die work is one vector op, not worth shipping.
+                name = "serial"
+        # Only spec populations carry ground-truth deviations (stream
+        # chunks are always spec populations).
+        ground_truth = streamed or isinstance(chunks[0], SpecPopulation)
+        start = time.perf_counter()
+        threshold = self._resolve_threshold(request.band)
+        state, skip = self._stream_state(request, threshold)
+        keep = request.keep_signatures
+        batch_parts: List[Union[SignatureBatch,
+                                MultiSignatureBatch]] = []
+        seen = 0  # dies drawn from the iterable so far
+        chunks_since_save = 0
+        for chunk in chunks:
+            # Raw spec-sequence chunks get placeholder labels numbered
+            # from the global die index, not per chunk -- labels must
+            # stay unique across the whole stream (and across the
+            # interrupted runs of a checkpointed one).
+            chunk = self._as_population(
+                chunk, first_index=request.stream_offset + seen)
+            if streamed and not isinstance(chunk, SpecPopulation):
+                raise TypeError("streamed campaigns consume spec "
+                                "population chunks")
+            n = len(chunk)
+            seen += n
+            if skip > 0:
+                if n <= skip:  # whole chunk already screened
+                    skip -= n
+                    continue
+                # Partially-screened chunk: resume mid-chunk.  Per-die
+                # rows are chunk-boundary independent, so the sliced
+                # tail scores bit-identically to its uninterrupted
+                # position.
+                chunk = SpecPopulation(
+                    chunk.specs[skip:], chunk.f0_deviations[skip:],
+                    chunk.q_deviations[skip:], chunk.labels[skip:])
+                skip = 0
+            values, section, batch = self._run_chunk(chunk, keep)
+            batch_parts.append(batch)
+            state.extend(values,
+                         chunk.f0_deviations if ground_truth else None,
+                         chunk.q_deviations if ground_truth else None,
+                         chunk.labels, section)
+            if request.checkpoint is not None:
+                chunks_since_save += 1
+                if chunks_since_save >= request.checkpoint_every:
+                    state.save(request.checkpoint)
+                    chunks_since_save = 0
+                # Robustness-suite injection point: die *after* the
+                # checkpoint landed, before the next chunk is drawn.
+                fail_if_armed("stream.chunk.crash")
+        if request.checkpoint is not None:
+            state.complete = True
+            state.save(request.checkpoint)
+        return self._package_result(
+            state.values(self._empty_values()), dict(state.timing),
+            state.labels,
+            self._concatenate_batches(batch_parts) if keep else None,
+            request.band, threshold,
+            state.f0_deviations() if ground_truth else None,
+            state.q_deviations() if ground_truth else None,
+            name, start)
+
+    def _stream_state(self, request: ScreeningRequest,
+                      threshold: Optional[float]):
+        """The chunk loop's accumulator and the dies to skip.
+
+        A checkpointed stream resumes behind its checkpoint (the
+        restarted chunk stream re-yields ``skip`` already-screened
+        dies); anything else starts a fresh in-memory state.
+        """
+        from repro.campaign.checkpoint import StreamCheckpoint
+
+        config_key = repr(self.config.golden_key())
+        state = None
+        if request.checkpoint is not None:
+            if request.keep_signatures:
+                raise ValueError(
+                    "checkpointed streams cannot keep signatures: the "
+                    "packed batch is not part of the mergeable "
+                    "checkpoint state (run without checkpoint=, or "
+                    "without keep_signatures)")
+            state = StreamCheckpoint.load_if_valid(request.checkpoint)
+            if state is not None:
+                state.validate(config_key, threshold)
+        if state is None:
+            # A fresh stream that starts mid-fleet (a shard worker, or
+            # a rebuilt resume stream) covers [stream_offset, ...) --
+            # the checkpoint names that range so partials can merge.
+            state = StreamCheckpoint(config_key, threshold,
+                                     start_index=request.stream_offset)
+        elif request.stream_offset < state.start_index:
+            raise ValueError(
+                f"stream starts at global die {request.stream_offset} "
+                f"but the checkpoint covers dies from "
+                f"{state.start_index}: the prefix would merge into a "
+                "checkpoint that does not contain it")
+        skip = state.next_index - request.stream_offset
+        if skip < 0:
+            raise ValueError(
+                f"stream starts at global die {request.stream_offset} "
+                f"but the checkpoint resumes at {state.next_index}: "
+                f"dies {state.next_index}..{request.stream_offset - 1} "
+                "would be missing")
+        return state, skip
 
     def _package_result(self, values, timing, labels, batch, band,
                         threshold, f0_devs, q_devs, executor_name,
@@ -795,10 +894,9 @@ class CampaignEngine:
                 if multi_batch is not None else None
         verdicts = None if threshold is None else values <= threshold
         timing["total"] = time.perf_counter() - start
-        # Terminal result constructor: recursive delegations (extra
-        # encoders, iterator -> stream) all funnel through here exactly
-        # once per logical campaign, so engine-level metrics record
-        # here, not in submit().
+        # Terminal result constructor: the extra-encoder delegation
+        # funnels through here exactly once per logical campaign, so
+        # engine-level metrics record here, not in submit().
         record_engine_timings(timing)
         return CampaignResult(
             ndfs=values, threshold=threshold, verdicts=verdicts,
@@ -810,215 +908,11 @@ class CampaignEngine:
             channel_verdicts=channel_verdicts,
             multi_signature_batch=multi_batch)
 
-    def run_stream(self, chunks: Iterable,
-                   band: Union[None, str, float, DecisionBand] = "auto",
-                   keep_signatures: bool = False,
-                   encoders: Optional[Sequence[ZoneEncoder]] = None,
-                   checkpoint: Optional[str] = None,
-                   checkpoint_every: int = 1,
-                   stream_offset: int = 0) -> CampaignResult:
-        """Screen a stream of population chunks at bounded memory.
-
-        ``chunks`` yields :class:`SpecPopulation` instances (or raw
-        spec sequences), e.g. from
-        :func:`repro.campaign.scenarios.stream_montecarlo_dies`.  Each
-        chunk runs through the configured executor and is released
-        before the next is drawn, so peak RSS scales with the chunk
-        size, not the fleet size; verdict vectors are bit-identical to
-        the monolithic run over the concatenated population.  (With
-        ``keep_signatures`` the retained batch grows with the fleet,
-        trading the memory bound for diagnosability.)  ``encoders``
-        enables multi-signature screening exactly as in :meth:`run`;
-        streamed multi-channel results are bit-identical per channel
-        to the monolithic multi-channel run.
-
-        ``checkpoint`` names a file making the stream crash-safe:
-        accumulated fleet stats plus the next global die index persist
-        there (atomically) every ``checkpoint_every`` chunks, and a
-        run that finds an existing checkpoint continues behind it --
-        fast-forwarding past the already-screened prefix (or trusting
-        ``stream_offset`` when the chunk stream itself restarts
-        mid-fleet).  The merged result is bit-identical to the
-        uninterrupted run; see :meth:`resume` and
-        ``docs/persistence.md``.
-        """
-        return self.submit(ScreeningRequest(
-            population=chunks, mode="stream", band=band,
-            keep_signatures=keep_signatures, encoders=encoders,
-            checkpoint=checkpoint, checkpoint_every=checkpoint_every,
-            stream_offset=stream_offset))
-
-    def resume(self, checkpoint: str, chunks: Iterable,
-               band: Union[None, str, float, DecisionBand] = "auto",
-               checkpoint_every: int = 1,
-               stream_offset: int = 0) -> CampaignResult:
-        """Continue an interrupted checkpointed streamed campaign.
-
-        ``checkpoint`` must exist (an interrupted :meth:`run_stream`
-        left it); a missing file raises ``FileNotFoundError`` rather
-        than silently starting over -- start-over is what a plain
-        checkpointed :meth:`run_stream` does.  ``chunks`` re-supplies
-        the population stream: either restarted from die 0 (the
-        engine skips the screened prefix) or rebuilt mid-fleet with
-        ``stream_offset`` declaring its first global die index, e.g.
-        ``stream_montecarlo_dies(..., start=k)`` with
-        ``stream_offset=k``.  The returned result is bit-identical
-        (NDFs, verdicts, deviations, labels) to the uninterrupted
-        run's -- global-index-stable seeding plus chunk-boundary-
-        independent scoring make the merge exact.
-        """
-        from repro.campaign.checkpoint import StreamCheckpoint
-
-        StreamCheckpoint.load(checkpoint)  # must exist and parse
-        return self.run_stream(chunks, band,
-                               checkpoint=checkpoint,
-                               checkpoint_every=checkpoint_every,
-                               stream_offset=stream_offset)
-
-    def _submit_stream(self, request: ScreeningRequest
-                       ) -> CampaignResult:
-        from repro.campaign.checkpoint import StreamCheckpoint
-        from repro.testing.faultinject import fail_if_armed
-
-        chunks = request.population
-        band = request.band
-        keep_signatures = request.keep_signatures
-        if request.encoders is not None:
-            engine = self.with_encoders(request.encoders)
-            return engine.submit(replace(request, encoders=None))
-        start = time.perf_counter()
-        threshold = self._resolve_threshold(band)
-        # The stream state -- accumulated NDF/deviation/label parts,
-        # merged timings, the next global die index -- always lives in
-        # a StreamCheckpoint; only a request with a checkpoint path
-        # ever persists it.
-        config_key = repr(self.config.golden_key())
-        state = None
-        if request.checkpoint is not None:
-            if keep_signatures:
-                raise ValueError(
-                    "checkpointed streams cannot keep signatures: the "
-                    "packed batch is not part of the mergeable "
-                    "checkpoint state (run without checkpoint=, or "
-                    "without keep_signatures)")
-            state = StreamCheckpoint.load_if_valid(request.checkpoint)
-            if state is not None:
-                state.validate(config_key, threshold)
-        if state is None:
-            # A fresh stream that starts mid-fleet (a shard worker, or
-            # a rebuilt resume stream) covers [stream_offset, ...) --
-            # the checkpoint names that range so partials can merge.
-            state = StreamCheckpoint(config_key, threshold,
-                                     start_index=request.stream_offset)
-        elif request.stream_offset < state.start_index:
-            raise ValueError(
-                f"stream starts at global die {request.stream_offset} "
-                f"but the checkpoint covers dies from "
-                f"{state.start_index}: the prefix would merge into a "
-                "checkpoint that does not contain it")
-        # Dies already screened by a previous (interrupted) run that
-        # the restarted chunk stream will re-yield.
-        skip = state.next_index - request.stream_offset
-        if skip < 0:
-            raise ValueError(
-                f"stream starts at global die {request.stream_offset} "
-                f"but the checkpoint resumes at {state.next_index}: "
-                f"dies {state.next_index}..{request.stream_offset - 1} "
-                "would be missing")
-        batch_parts: List[Union[SignatureBatch,
-                                MultiSignatureBatch]] = []
-        seen = 0  # dies drawn from the iterable so far
-        chunks_since_save = 0
-        for chunk in chunks:
-            # Raw spec-sequence chunks get placeholder labels numbered
-            # from the global die index, not per chunk -- labels must
-            # stay unique across the whole stream (and across the
-            # interrupted runs of a checkpointed one).
-            chunk = self._as_population(
-                chunk, first_index=request.stream_offset + seen)
-            if not isinstance(chunk, SpecPopulation):
-                raise TypeError("streamed campaigns consume spec "
-                                "population chunks")
-            n = len(chunk)
-            seen += n
-            if skip > 0:
-                if n <= skip:  # whole chunk already screened
-                    skip -= n
-                    continue
-                # Partially-screened chunk: resume mid-chunk.  Per-die
-                # rows are chunk-boundary independent, so the sliced
-                # tail scores bit-identically to its uninterrupted
-                # position.
-                chunk = SpecPopulation(
-                    chunk.specs[skip:], chunk.f0_deviations[skip:],
-                    chunk.q_deviations[skip:], chunk.labels[skip:])
-                skip = 0
-            values, section, chunk_labels, batch = self._run_specs(
-                chunk, keep_signatures)
-            if batch is not None:
-                batch_parts.append(batch)
-            state.extend(values, chunk.f0_deviations,
-                         chunk.q_deviations, chunk_labels, section)
-            if request.checkpoint is not None:
-                chunks_since_save += 1
-                if chunks_since_save >= request.checkpoint_every:
-                    state.save(request.checkpoint)
-                    chunks_since_save = 0
-                # Robustness-suite injection point: die *after* the
-                # checkpoint landed, before the next chunk is drawn.
-                fail_if_armed("stream.chunk.crash")
-        values = state.values(self._empty_values())
-        batch = (self._concatenate_batches(batch_parts)
-                 if keep_signatures else None)
-        timing = dict(state.timing)
-        if request.checkpoint is not None:
-            state.complete = True
-            state.save(request.checkpoint)
-        name = getattr(self.executor, "name", "custom") + "+stream"
-        return self._package_result(values, timing, state.labels,
-                                    batch, band, threshold,
-                                    state.f0_deviations(),
-                                    state.q_deviations(), name, start)
-
-    def run_noise(self, population: Union[SpecPopulation,
-                                          Sequence[BiquadSpec]],
-                  repeats: int = 20,
-                  noise: Union[None, float, NoiseModel] = None,
-                  seed: int = 0,
-                  band: Union[None, str, float, DecisionBand] = "auto"
-                  ) -> NoiseCampaignResult:
-        """Batched Section IV-C noise campaign: N dies x R repeats.
-
-        Every die is signatured ``repeats`` times under fresh additive
-        measurement noise (``noise``: a :class:`NoiseModel`, a raw
-        3-sigma volt spread, or None for the paper's 0.015 V).  The
-        repeats run as one ``(n * repeats, samples)`` stack per chunk
-        through the same packed signature pipeline as the clean
-        campaign; the golden signature stays the noise-free reference.
-        Noise is seeded per die from
-        ``SeedSequence([seed, NOISE_SEED_DOMAIN])`` children -- a
-        pure function of ``(seed, die index)``, so results are
-        independent of chunking, and a distinct entropy domain from
-        the population builders, so noise never correlates with the
-        process deviations drawn from the same user seed.
-
-        The ``(die, repeat)`` chunks fan out over the configured
-        executor exactly like the clean campaign's spec chunks; since
-        chunking never reshuffles the per-die seed children, pool and
-        serial runs produce bit-identical NDF matrices (and hence
-        detection rates).
-        """
-        return self.submit(ScreeningRequest(
-            population=population, mode="noise", band=band,
-            repeats=repeats, noise=noise, seed=seed))
-
     def _submit_noise(self, request: ScreeningRequest
                       ) -> NoiseCampaignResult:
         population = request.population
         repeats = request.repeats
         noise = request.noise
-        seed = request.seed
-        band = request.band
         if self.config.extra_encoders:
             raise ValueError(
                 "noise campaigns are single-channel; run them on the "
@@ -1037,27 +931,17 @@ class CampaignEngine:
         population = self._as_population(population)
         if not isinstance(population, SpecPopulation):
             raise TypeError("noise campaigns run over spec populations")
-        threshold = self._resolve_threshold(band)
+        threshold = self._resolve_threshold(request.band)
         n = len(population)
         children = np.random.SeedSequence(
-            [seed, NOISE_SEED_DOMAIN]).spawn(n)
+            [request.seed, NOISE_SEED_DOMAIN]).spawn(n)
         die_chunk = self._pool_chunk_size(
             n, max(1, self.config.chunk_size // repeats))
-        ranges = [(lo, min(lo + die_chunk, n))
-                  for lo in range(0, n, die_chunk)]
-        if getattr(self.executor, "needs_picklable_work", False):
-            payloads = [(self.config,
-                         tuple(population.specs[lo:hi]),
-                         tuple(children[lo:hi]), repeats, three_sigma)
-                        for lo, hi in ranges]
-            outputs = self.executor.map(_noise_chunk_worker, payloads)
-        else:
-            outputs = self.executor.map(
-                lambda bounds: _noise_chunk_ndfs(
-                    self.config,
-                    population.specs[bounds[0]:bounds[1]],
-                    children[bounds[0]:bounds[1]], repeats,
-                    three_sigma, self.cache), ranges)
+        cache = self._payload_cache()
+        outputs = self.executor.map(_noise_chunk_ndfs, [
+            (self.config, population.specs[lo:lo + die_chunk],
+             children[lo:lo + die_chunk], repeats, three_sigma, cache)
+            for lo in range(0, n, die_chunk)])
         timing: Dict[str, float] = {}
         for __, section in outputs:
             _merge_timing(timing, section)
@@ -1071,54 +955,6 @@ class CampaignEngine:
             tolerance=self.config.tolerance, timing=timing,
             executor=getattr(self.executor, "name", "custom"))
 
-    def run_sharded(self, fleet, shards: int = 2,
-                    band: Union[None, str, float, DecisionBand] = "auto",
-                    shard_size: Optional[int] = None,
-                    workdir: Optional[str] = None,
-                    heartbeat: float = 5.0,
-                    workers: Optional[int] = None,
-                    listen: Optional[str] = None,
-                    autotune_s: Optional[float] = None
-                    ) -> CampaignResult:
-        """Screen a fleet split across subprocess shard workers.
-
-        ``fleet`` is a :class:`repro.shard.ShardFleet` (or anything
-        :func:`repro.shard.as_fleet` accepts: a
-        :class:`SpecPopulation` works directly).  The global die-index
-        range splits into shards -- each exactly "a checkpoint whose
-        next index starts past another's" -- dispatched to ``workers``
-        subprocess workers (default: one per shard, capped at
-        ``shards``); partial checkpoints merge in global-index order
-        **bit-identical** to the monolithic :meth:`run` /
-        :meth:`run_stream` over the same fleet.  A worker that dies or
-        stalls past the ``heartbeat`` deadline has its shard
-        reassigned, resuming from the shard's last checkpoint -- never
-        from zero.  The workers outlive the call: the engine's next
-        sharded campaign reuses them (see :meth:`close`).  See
-        ``docs/sharding.md``.
-
-        ``shard_size`` caps dies per shard, yielding more shards than
-        workers -- finer-grained reassignment on worker loss.  The
-        band policy resolves *once* here (the coordinator process);
-        workers receive the raw threshold, so calibration never runs
-        N times.
-
-        ``listen="HOST:PORT"`` runs the campaign multi-node: instead
-        of spawning subprocesses the coordinator accepts ``repro
-        shard-worker --connect`` processes over TCP, shipping
-        checkpoints inline (no shared filesystem); an explicit
-        ``workers`` holds dispatch until that many workers have
-        connected (or the rejoin grace expires).  ``autotune_s`` replaces the static
-        plan with shards carved to roughly that many seconds of each
-        worker's observed rate.
-        """
-        return self.submit(ScreeningRequest(
-            population=fleet, mode="sharded", band=band,
-            shards=shards, shard_size=shard_size,
-            shard_workdir=workdir, shard_heartbeat=heartbeat,
-            shard_workers=workers, shard_listen=listen,
-            shard_autotune_s=autotune_s))
-
     def _submit_sharded(self, request: ScreeningRequest
                         ) -> CampaignResult:
         from repro.shard import as_fleet
@@ -1131,7 +967,8 @@ class CampaignEngine:
         if request.encoders is not None or self.config.extra_encoders:
             raise ValueError(
                 "sharded campaigns are single-channel today; run "
-                "multi-signature screening through run()/run_stream()")
+                "multi-signature screening with mode='run' or "
+                "mode='stream'")
         start = time.perf_counter()
         fleet = as_fleet(request.population)
         threshold = self._resolve_threshold(request.band)
@@ -1231,10 +1068,13 @@ class CampaignEngine:
         """Row-stack collected chunk batches, channel-shape aware.
 
         Single source of the Multi-vs-plain dispatch for both the
-        chunked (:meth:`_merge_outputs`) and the streamed
-        (:meth:`run_stream`) merge.
+        executor-chunk merge (:meth:`_merge_outputs`) and the chunk
+        loop (:meth:`_submit_chunks`); a single batch passes through
+        uncopied.
         """
         parts = [part for part in parts if part is not None]
+        if len(parts) == 1:
+            return parts[0]
         if not parts:
             return self._empty_batch(True)
         if isinstance(parts[0], MultiSignatureBatch):
@@ -1260,43 +1100,58 @@ class CampaignEngine:
                 [b for __, __t, b in outputs])
         return values, timing, batch
 
-    def _map_spec_chunks(self, specs: Sequence[BiquadSpec],
-                         collect: bool = False
-                         ) -> Tuple[np.ndarray, Dict[str, float],
-                                    Optional[SignatureBatch]]:
+    def _payload_cache(self) -> Optional[GoldenCache]:
+        """The cache a chunk payload carries.
+
+        Pool workers cannot share the engine's cache, so their
+        payloads carry None and each worker process resolves its own
+        ``_PROCESS_CACHE``; in-process executors get this engine's.
+        """
+        if getattr(self.executor, "needs_picklable_work", False):
+            return None
+        return self.cache
+
+    def _run_chunk(self, population, collect: bool = False
+                   ) -> Tuple[np.ndarray, Dict[str, float],
+                              Optional[SignatureBatch]]:
+        """Screen one population through its per-kind runner."""
+        if isinstance(population, EncoderPopulation) \
+                and self.config.extra_encoders:
+            raise ValueError(
+                "encoder populations vary the primary monitor bank "
+                "per die; extra signature channels are ambiguous here "
+                "-- run them single-channel")
+        if len(population) == 0:
+            return (self._empty_values(), {"golden": 0.0},
+                    self._empty_batch(collect))
+        if isinstance(population, SpecPopulation):
+            return self._run_specs(population, collect)
+        if isinstance(population, TracePopulation):
+            return self._run_traces(population, collect)
+        if isinstance(population, CutListPopulation):
+            return self._run_cuts(population, collect)
+        return self._run_encoders(population, collect)
+
+    def _run_specs(self, population: SpecPopulation,
+                   collect: bool = False
+                   ) -> Tuple[np.ndarray, Dict[str, float],
+                              Optional[SignatureBatch]]:
         """Chunk design points over the executor and merge the results.
 
         Specs travel directly (they are picklable frozen dataclasses);
         no per-die CUT objects are materialized on any path.
         """
-        chunk_size = self._pool_chunk_size(len(specs),
+        chunk_size = self._pool_chunk_size(len(population),
                                            self.config.chunk_size)
-        chunks = chunked(list(specs), chunk_size)
-        if getattr(self.executor, "needs_picklable_work", False):
-            # Pool workers use the per-process default cache.
-            payloads = [(self.config, tuple(chunk), collect)
-                        for chunk in chunks]
-            outputs = self.executor.map(_spec_chunk_worker, payloads)
-        else:
-            outputs = self.executor.map(
-                lambda chunk: _spec_chunk_ndfs(
-                    self.config, chunk, self.cache, collect), chunks)
+        cache = self._payload_cache()
+        outputs = self.executor.map(_spec_chunk_ndfs, [
+            (self.config, chunk, collect, cache)
+            for chunk in chunked(list(population.specs), chunk_size)])
         return self._merge_outputs(outputs, collect)
-
-    def _run_specs(self, population: SpecPopulation,
-                   collect: bool = False
-                   ) -> Tuple[np.ndarray, Dict[str, float], List[str],
-                              Optional[SignatureBatch]]:
-        if len(population) == 0:
-            return (self._empty_values(), {"golden": 0.0}, [],
-                    self._empty_batch(collect))
-        values, timing, batch = self._map_spec_chunks(population.specs,
-                                                      collect)
-        return values, timing, list(population.labels), batch
 
     def _run_traces(self, population: TracePopulation,
                     collect: bool = False
-                    ) -> Tuple[np.ndarray, Dict[str, float], List[str],
+                    ) -> Tuple[np.ndarray, Dict[str, float],
                                Optional[SignatureBatch]]:
         """Measured-trace stacks: encode/score only, shared-memory aware.
 
@@ -1307,9 +1162,6 @@ class CampaignEngine:
         place.
         """
         n = len(population)
-        if n == 0:
-            return (self._empty_values(), {"golden": 0.0}, [],
-                    self._empty_batch(collect))
         stack = population.y_stack
         if stack.shape[1] != self.config.samples_per_period:
             raise InvalidTraceError(
@@ -1326,35 +1178,25 @@ class CampaignEngine:
                     _trace_chunk_worker_shm, stack,
                     lambda handle: [(self.config, handle, lo, hi,
                                      collect) for lo, hi in ranges])
-            elif getattr(self.executor, "needs_picklable_work", False):
-                payloads = [(self.config, stack[lo:hi], collect)
-                            for lo, hi in ranges]
-                outputs = self.executor.map(_trace_chunk_worker,
-                                            payloads)
             else:
-                outputs = self.executor.map(
-                    lambda bounds: _trace_rows_ndfs(
-                        self.config, stack[bounds[0]:bounds[1]],
-                        self.cache, collect), ranges)
+                cache = self._payload_cache()
+                outputs = self.executor.map(_trace_rows_ndfs, [
+                    (self.config, stack[lo:hi], collect, cache)
+                    for lo, hi in ranges])
         except InvalidTraceError:
             # Chunks name chunk-local rows: rename them globally.
             raise InvalidTraceError.non_finite(np.flatnonzero(
                 ~np.isfinite(stack).all(axis=1))) from None
-        values, timing, batch = self._merge_outputs(outputs, collect)
-        return values, timing, list(population.labels), batch
+        return self._merge_outputs(outputs, collect)
 
     def _run_cuts(self, population: CutListPopulation,
                   collect: bool = False
-                  ) -> Tuple[np.ndarray, Dict[str, float], List[str],
+                  ) -> Tuple[np.ndarray, Dict[str, float],
                              Optional[SignatureBatch]]:
         """Generic CUTs: batched when they expose ``response``."""
-        if len(population) == 0:
-            return (self._empty_values(), {"golden": 0.0}, [],
-                    self._empty_batch(collect))
         if all(hasattr(cut, "response") for cut in population.cuts):
-            values, timing, batch = _response_chunk_ndfs(
-                self.config, population.cuts, self.cache, collect)
-            return values, timing, list(population.labels), batch
+            return _response_chunk_ndfs(self.config, population.cuts,
+                                        self.cache, collect)
         if self.config.extra_encoders:
             raise ValueError(
                 "multi-signature campaigns need populations that take "
@@ -1395,8 +1237,7 @@ class CampaignEngine:
                                       codes, first.period)
             with _stage(timing, "ndf", dies=len(population)):
                 values = batch.ndf_to(golden.signature)
-            return (values, timing, list(population.labels),
-                    batch if collect else None)
+            return values, timing, batch if collect else None
         # Heterogeneous grids: score die by die, one trace resident at
         # a time (rare -- mixed CUT families in one population).
         from repro.core.ndf import ndf as _ndf
@@ -1417,11 +1258,11 @@ class CampaignEngine:
                 values[i] = _ndf(observed, golden.signature)
         batch = (SignatureBatch.from_signatures(signatures)
                  if collect else None)
-        return values, timing, list(population.labels), batch
+        return values, timing, batch
 
     def _run_encoders(self, population: EncoderPopulation,
                       collect: bool = False
-                      ) -> Tuple[np.ndarray, Dict[str, float], List[str],
+                      ) -> Tuple[np.ndarray, Dict[str, float],
                                  Optional[SignatureBatch]]:
         """One fault-free CUT seen through N varied monitor banks.
 
@@ -1453,5 +1294,4 @@ class CampaignEngine:
                                   golden.period)
         with _stage(timing, "ndf", dies=len(population)):
             values = batch.ndf_to(golden.signature)
-        return (values, timing, list(population.labels),
-                batch if collect else None)
+        return values, timing, batch if collect else None

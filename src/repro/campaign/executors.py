@@ -1,10 +1,17 @@
 """Executor layer: how a campaign's chunks are scheduled.
 
-The engine splits a population into chunks and hands ``(worker, chunk)``
-pairs to an executor.  Executors only schedule; all numerical work --
-and all randomness -- happens in the deterministically-seeded chunks,
-so every executor produces bit-identical results for the same
-population (asserted by the equivalence tests).
+The engine splits a population into chunk payloads and hands them,
+with one module-level chunk function, to an executor's ``map``.  The
+same function and payloads serve every executor (only trace stacks on
+a :class:`SharedMemoryExecutor` take
+:meth:`~SharedMemoryExecutor.map_shared` instead): each payload
+carries its golden cache last -- the engine's own for
+:class:`SerialExecutor`, None for the process pools, whose workers
+then use their process-wide cache.  Executors only schedule; all
+numerical work -- and all randomness -- happens in the
+deterministically-seeded chunks, so every executor produces
+bit-identical results for the same population
+(asserted by the equivalence tests).
 
 * :class:`SerialExecutor` -- runs chunks in order, in process.  The
   right choice up to a few thousand dies, where batching (not
@@ -127,8 +134,8 @@ class ProcessPoolExecutor:
         """Run chunks on the pool; results come back in order.
 
         ``worker`` and every chunk must be picklable (the engine's
-        chunk workers are module-level functions taking dataclass
-        payloads, which are).
+        chunk functions are module-level and their payloads are tuples
+        of dataclasses and arrays, which are).
         """
         chunks = list(chunks)
         with span("executor.map", executor=self.name,

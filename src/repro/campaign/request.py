@@ -1,13 +1,11 @@
 """One screening request: the unified engine entry payload.
 
-:class:`ScreeningRequest` replaces the keyword sprawl of
-:meth:`~repro.campaign.engine.CampaignEngine.run` /
-:meth:`~repro.campaign.engine.CampaignEngine.run_stream` /
-:meth:`~repro.campaign.engine.CampaignEngine.run_noise` with a single
-picklable value object.  The engine consumes it through
-:meth:`~repro.campaign.engine.CampaignEngine.submit`; the historical
-method signatures survive as thin shims that build a request, so every
-existing caller (and the CLI) stays source-compatible.
+:class:`ScreeningRequest` carries every screening knob -- one-shot,
+streamed, noisy-repeat and sharded -- in a single picklable value
+object.  The engine consumes it through
+:meth:`~repro.campaign.engine.CampaignEngine.submit`, its one entry
+point; :meth:`~repro.campaign.engine.CampaignEngine.run` is the one
+convenience wrapper that builds a ``mode="run"`` request.
 
 Being a value object is what lets the screening service treat work
 uniformly: sessions queue requests, the coalescing batcher packs
@@ -39,25 +37,43 @@ class ScreeningRequest:
         accepts (population object, raw spec sequence, or an iterator
         -- iterators delegate to streaming exactly like
         :meth:`~repro.campaign.engine.CampaignEngine.run`).
-        ``mode="stream"``: an iterable of population chunks.
+        ``mode="stream"``: an iterable of spec population chunks (or
+        raw spec sequences), e.g. from
+        :func:`~repro.campaign.scenarios.stream_montecarlo_dies`; each
+        chunk is released before the next is drawn, so peak RSS
+        scales with the chunk size, not the fleet, and verdicts are
+        bit-identical (per channel, with ``encoders``) to the one-shot
+        run over the concatenated population.
         ``mode="noise"``: a spec population.
+        ``mode="sharded"``: a :class:`repro.shard.ShardFleet` or
+        anything :func:`repro.shard.as_fleet` accepts (a spec
+        population works directly).
     mode:
         ``"run"`` (one-shot), ``"stream"`` (bounded-memory chunk
-        stream) or ``"noise"`` (Section IV-C noisy repeats).
+        stream), ``"noise"`` (Section IV-C noisy repeats) or
+        ``"sharded"`` (shard workers, see ``docs/sharding.md``).
     band:
         Verdict policy: ``"auto"`` (Fig. 8-calibrated), a raw float
         threshold, a :class:`~repro.core.decision.DecisionBand`, or
         None for NDFs without verdicts.
     keep_signatures:
         Retain the packed per-die signatures on the result (the
-        diagnosis input).  Ignored by noise campaigns.
+        diagnosis input).  Ignored by noise campaigns.  A stream that
+        keeps them trades its memory bound away: the retained batch
+        grows with the fleet.
     encoders:
         Optional monitor-bank list switching the campaign to
         multi-signature screening (``encoders[0]`` becomes channel 0).
     repeats, noise, seed:
         Noise-campaign knobs (``mode="noise"`` only): measurements per
         die, the noise model / 3-sigma volt spread (None = the paper's
-        0.015 V), and the deterministic per-die seed root.
+        0.015 V), and the deterministic per-die seed root.  The
+        repeats run as one ``(n * repeats, samples)`` stack per chunk,
+        scored against the noise-free golden.  Die ``i`` draws its
+        noise from child ``i`` of ``SeedSequence([seed,
+        NOISE_SEED_DOMAIN])`` (see
+        :data:`repro.campaign.engine.NOISE_SEED_DOMAIN`), so the NDF
+        matrix is identical under every chunking and executor.
     client:
         Free-form requester identity.  The engine ignores it; the
         service layer uses it for rate limiting, metrics and the
@@ -88,8 +104,7 @@ class ScreeningRequest:
         ``stream_montecarlo_dies(..., start=k)``) declares that here.
     shards, shard_size, shard_workdir, shard_heartbeat, shard_workers:
         Sharded-campaign knobs (``mode="sharded"`` only; see
-        :mod:`repro.shard` and
-        :meth:`~repro.campaign.engine.CampaignEngine.run_sharded`):
+        :mod:`repro.shard` and ``docs/sharding.md``):
         how many shards to split the fleet into, an optional dies-per-
         shard cap (finer reassignment granularity), the coordinator's
         checkpoint/scratch directory (a temp dir when None), the

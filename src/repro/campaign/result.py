@@ -84,7 +84,7 @@ class CampaignResult:
         ``keep_signatures=True``; what :meth:`diagnose` matches
         against a multi-channel fault dictionary.
     shard_stats:
-        Sharded campaigns (:meth:`CampaignEngine.run_sharded`) attach
+        Sharded campaigns (``mode="sharded"`` requests) attach
         the coordinator's lifecycle counters here -- shards planned /
         dispatched / completed / reassigned, worker count and merge
         seconds; None for every other execution mode.

@@ -113,10 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--samples", type=int, default=2048,
                           help="trace samples per period")
     campaign.add_argument("--executor", default="serial",
-                          choices=["serial", "pool", "shm", "process"],
+                          choices=["serial", "pool", "shm"],
                           help="chunk scheduler: serial, process pool, "
-                               "or shared-memory pool ('process' is a "
-                               "legacy alias of 'pool')")
+                               "or shared-memory pool")
     campaign.add_argument("--workers", type=int, default=None,
                           help="pool size (with --executor pool/shm "
                                "or --shards); with --listen, dispatch "
@@ -477,7 +476,7 @@ def _campaign_executor(args):
     """Executor selected on the command line (None = serial)."""
     from repro.campaign import ProcessPoolExecutor, SharedMemoryExecutor
 
-    if args.executor in ("pool", "process"):
+    if args.executor == "pool":
         return ProcessPoolExecutor(max_workers=args.workers)
     if args.executor == "shm":
         return SharedMemoryExecutor(max_workers=args.workers)
@@ -516,7 +515,7 @@ def _print_profile(profile, timing, trace_path) -> None:
 
 
 def _cmd_campaign(setup, args) -> int:
-    from repro.campaign import stream_montecarlo_dies
+    from repro.campaign import ScreeningRequest, stream_montecarlo_dies
 
     if (args.stream or args.repeats) and args.scenario != "mc":
         print("--stream/--repeats require the mc scenario",
@@ -611,28 +610,27 @@ def _cmd_campaign(setup, args) -> int:
                       f"{args.listen} (start them with: repro "
                       f"shard-worker --connect {args.listen})",
                       file=sys.stderr)
-            result = engine.run_sharded(_shard_fleet(setup, args),
-                                        shards=args.shards,
-                                        band="auto",
-                                        workers=args.workers,
-                                        listen=args.listen,
-                                        autotune_s=args.shard_autotune)
+            result = engine.submit(ScreeningRequest(
+                population=_shard_fleet(setup, args), mode="sharded",
+                shards=args.shards, shard_workers=args.workers,
+                shard_listen=args.listen,
+                shard_autotune_s=args.shard_autotune))
             engine.close()  # one campaign per CLI run: reap workers
         elif args.repeats:
             population, __ = _campaign_population(setup, args)
-            result = engine.run_noise(population,
-                                      repeats=args.repeats,
-                                      noise=args.noise,
-                                      seed=args.seed, band="auto")
+            result = engine.submit(ScreeningRequest(
+                population=population, mode="noise",
+                repeats=args.repeats, noise=args.noise,
+                seed=args.seed))
             return _report_noise_campaign(args, result, tracer)
         elif args.stream:
             chunks = stream_montecarlo_dies(
                 setup.golden_spec, args.dies, chunk_size=args.chunk,
                 sigma_f0=args.sigma, seed=args.seed)
-            result = engine.run_stream(
-                chunks, band="auto", encoders=encoders,
+            result = engine.submit(ScreeningRequest(
+                population=chunks, mode="stream", encoders=encoders,
                 checkpoint=args.checkpoint,
-                checkpoint_every=args.checkpoint_every)
+                checkpoint_every=args.checkpoint_every))
         else:
             population, faults = _campaign_population(setup, args)
             result = engine.run(population, band="auto",

@@ -5,8 +5,7 @@ The registry grew up in the service layer (PR 6) and moved here so the
 stage histograms, cache/store counters and checkpoint timings land in
 the process-default registry (:func:`default_registry`), which
 ``repro serve`` scrapes on ``/metrics`` and ``repro campaign
---profile`` prints directly.  ``repro.service.metrics`` re-exports
-everything for compatibility.
+--profile`` prints directly.
 
 Every operation is nanosecond-scale against millisecond-scale
 requests, so one lock per registry is simpler and plenty.  The

@@ -44,7 +44,7 @@ from repro.campaign.request import ScreeningRequest
 from repro.campaign.result import CampaignResult
 from repro.campaign.scenarios import SpecPopulation
 from repro.obs.trace import span
-from repro.service.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.service.session import ScreeningSession
 
 

@@ -55,6 +55,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from repro.campaign.request import ScreeningRequest
+from repro.campaign.scenarios import InvalidTraceError
 from repro.obs.logs import log_event
 from repro.obs.metrics import MetricsRegistry, default_registry, timed
 from repro.obs.trace import (
@@ -616,7 +617,9 @@ class _Handler(BaseHTTPRequestHandler):
                     metric=str(payload.get("metric", "ndf")))
                 body["diagnosis"] = diagnosis.to_payload()
             return 200, body, None
-        except BadRequest as error:
+        except (BadRequest, InvalidTraceError) as error:
+            # InvalidTraceError: the engine refused a trace lot (NaN or
+            # infinite rows, a wrong sample count) -- the client's fault.
             metrics.counter("errors_total", endpoint=endpoint,
                             kind="bad_request").inc()
             return 400, {"error": str(error)}, None

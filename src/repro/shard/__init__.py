@@ -29,7 +29,9 @@ Layers:
 * :mod:`repro.shard.coordinator` -- dispatch, accept loop, heartbeat
   watching, reassignment, merge.
 
-Entry points: :meth:`CampaignEngine.run_sharded`, or
+Entry points: a ``mode="sharded"``
+:class:`~repro.campaign.request.ScreeningRequest` submitted to
+:meth:`CampaignEngine.submit`, or
 ``repro campaign --shards N`` (add ``--listen HOST:PORT`` for
 multi-node).  See ``docs/sharding.md``.
 """

@@ -11,7 +11,7 @@ remote flag), then ``assign`` messages naming global die ranges.  A
 pipe worker outlives its campaign: it idles after the last ``done``
 until the next ``init``, ``shutdown`` or stdin EOF (its parent died).
 Each assignment runs as an ordinary checkpointed streamed campaign
-(:meth:`CampaignEngine.run_stream`) over ``fleet.chunks(lo, hi)``
+(a ``mode="stream"`` request) over ``fleet.chunks(lo, hi)``
 into the shard's own checkpoint file -- which is the whole trick: a
 shard worker *is* a streamed campaign whose checkpoint starts past
 another's, so every crash-safety and bit-identity property of the
@@ -58,6 +58,7 @@ from typing import Dict, List, Optional, TextIO
 from repro.campaign.cache import GoldenCache
 from repro.campaign.checkpoint import StreamCheckpoint
 from repro.campaign.engine import CampaignEngine
+from repro.campaign.request import ScreeningRequest
 from repro.obs.trace import (
     TraceContext,
     context_tracer,
@@ -281,14 +282,14 @@ def _run_assignment(engine: CampaignEngine, fleet, emit: _Emitter,
     with span("shard.worker.run", shard=shard_index, lo=lo, hi=hi,
               resume_at=resume_at, pid=os.getpid()):
         fail_if_armed("shard.worker.error")
-        engine.run_stream(
-            _progressing_chunks(
+        engine.submit(ScreeningRequest(
+            population=_progressing_chunks(
                 fleet.chunks(resume_at, hi), emit, shard_index,
                 resume_at,
                 checkpoint=checkpoint if ship_checkpoints else None),
-            band=threshold, checkpoint=checkpoint,
+            mode="stream", band=threshold, checkpoint=checkpoint,
             checkpoint_every=checkpoint_every,
-            stream_offset=resume_at)
+            stream_offset=resume_at))
     return hi - lo
 
 

@@ -5,13 +5,17 @@ import pytest
 
 from repro.campaign import (
     CampaignEngine,
+    CutListPopulation,
+    EncoderPopulation,
     GoldenCache,
+    ScreeningRequest,
     deviation_sweep_population,
     fault_dictionary,
     montecarlo_dies,
     montecarlo_monitor_banks,
     parameter_grid,
     temperature_corners,
+    trace_population,
 )
 from repro.core.decision import DecisionBand
 from repro.core.testflow import SignatureTester
@@ -60,6 +64,35 @@ def test_close_to_refined_flow(engine):
     assert np.max(np.abs(refined - result.ndfs)) < 0.01
 
 
+def _golden_populations(engine, n):
+    """``n`` golden-unit dies as each population kind."""
+    return {
+        "spec": montecarlo_dies(PAPER_BIQUAD, n, sigma_f0=0.0),
+        "trace": trace_population(
+            np.repeat(engine.golden().y[None, :], n, axis=0)),
+        "cut": CutListPopulation([BiquadFilter(PAPER_BIQUAD)] * n,
+                                 [f"cut{i}" for i in range(n)]),
+        "encoder": EncoderPopulation([table1_encoder()] * n,
+                                     [f"bank{i}" for i in range(n)]),
+    }
+
+
+def _assert_result_fields(kind, result, keep_signatures, stages):
+    """Field shapes every population kind must keep."""
+    assert result.executor == "serial"
+    if kind == "spec":
+        assert result.f0_deviations.shape == (result.num_dies,)
+        assert result.q_deviations.shape == (result.num_dies,)
+    else:
+        assert result.f0_deviations is None
+        assert result.q_deviations is None
+    assert set(result.timing) == stages | {"total"}
+    if keep_signatures:
+        assert len(result.signature_batch) == result.num_dies
+    else:
+        assert result.signature_batch is None
+
+
 def test_empty_population(engine):
     result = engine.run(montecarlo_dies(PAPER_BIQUAD, 0), band="auto")
     assert result.num_dies == 0
@@ -67,6 +100,13 @@ def test_empty_population(engine):
     assert result.verdicts.shape == (0,)
     assert result.pass_rate == 1.0
     assert np.isnan(result.ndf_percentile(95))
+    for keep in (False, True):
+        for kind, population in _golden_populations(engine, 0).items():
+            result = engine.run(population, band="auto",
+                                keep_signatures=keep)
+            assert result.ndfs.shape == (0,)
+            assert result.labels == []
+            _assert_result_fields(kind, result, keep, {"golden"})
 
 
 def test_single_die(engine):
@@ -76,6 +116,16 @@ def test_single_die(engine):
     # A zero-deviation die is the golden unit: NDF must be exactly 0.
     assert result.ndfs[0] == 0.0
     assert bool(result.verdicts[0])
+    back_half = {"golden", "encode", "signature", "ndf"}
+    stages = {"spec": back_half | {"traces"}, "trace": back_half,
+              "cut": back_half | {"traces"}, "encoder": back_half}
+    for keep in (False, True):
+        for kind, population in _golden_populations(engine, 1).items():
+            result = engine.run(population, band="auto",
+                                keep_signatures=keep)
+            assert result.ndfs.tolist() == [0.0]
+            assert result.labels == population.labels
+            _assert_result_fields(kind, result, keep, stages[kind])
 
 
 def test_band_modes(engine):
@@ -172,9 +222,10 @@ def test_streamed_run_bit_identical_to_monolithic(engine):
     monolithic = engine.run(
         montecarlo_dies(PAPER_BIQUAD, 40, sigma_f0=0.03, seed=21),
         band="auto")
-    streamed = engine.run_stream(
-        stream_montecarlo_dies(PAPER_BIQUAD, 40, chunk_size=7,
-                               sigma_f0=0.03, seed=21), band="auto")
+    streamed = engine.submit(ScreeningRequest(
+        population=stream_montecarlo_dies(PAPER_BIQUAD, 40, chunk_size=7,
+                                          sigma_f0=0.03, seed=21),
+        mode="stream", band="auto"))
     assert np.array_equal(monolithic.ndfs, streamed.ndfs)
     assert np.array_equal(monolithic.verdicts, streamed.verdicts)
     assert monolithic.labels == streamed.labels
@@ -220,15 +271,20 @@ def test_stream_generator_matches_monolithic_dies():
 
 
 def test_empty_stream(engine):
-    result = engine.run_stream(iter(()), band="auto")
+    result = engine.submit(ScreeningRequest(
+        population=iter(()), mode="stream", band="auto"))
     assert result.num_dies == 0
     assert result.verdicts.shape == (0,)
+    assert result.executor == "serial+stream"
+    assert result.f0_deviations.shape == (0,)
+    assert set(result.timing) == {"total"}
 
 
 def test_streamed_raw_spec_chunks_get_global_labels(engine):
     chunks = iter([[PAPER_BIQUAD, PAPER_BIQUAD],
                    [PAPER_BIQUAD.with_f0_deviation(0.2)]])
-    result = engine.run_stream(chunks, band=None)
+    result = engine.submit(ScreeningRequest(
+        population=chunks, mode="stream", band=None))
     assert result.labels == ["die00000", "die00001", "die00002"]
 
 
@@ -236,7 +292,6 @@ def test_streamed_raw_spec_chunks_get_global_labels(engine):
 # Trace populations (measured waveform stacks)
 # ----------------------------------------------------------------------
 def test_trace_population_matches_spec_population(engine):
-    from repro.campaign import trace_population
     from repro.campaign.batch import batch_multitone_eval
 
     population = montecarlo_dies(PAPER_BIQUAD, 10, sigma_f0=0.04,
@@ -265,8 +320,9 @@ def test_noise_campaign_matches_per_die_reference(engine):
     population = montecarlo_dies(PAPER_BIQUAD, 4, sigma_f0=0.04,
                                  seed=3)
     repeats, three_sigma, seed = 3, 0.015, 11
-    result = engine.run_noise(population, repeats=repeats,
-                              noise=three_sigma, seed=seed, band=None)
+    result = engine.submit(ScreeningRequest(
+        population=population, mode="noise", repeats=repeats,
+        noise=three_sigma, seed=seed, band=None))
     assert result.ndf_matrix.shape == (4, repeats)
 
     from repro.campaign.engine import NOISE_SEED_DOMAIN
@@ -301,9 +357,10 @@ def test_noise_campaign_chunk_invariant(engine):
     small_chunks = CampaignEngine(
         dataclasses.replace(engine.config, chunk_size=4),
         cache=GoldenCache())
-    one = engine.run_noise(population, repeats=4, seed=9, band=None)
-    other = small_chunks.run_noise(population, repeats=4, seed=9,
-                                   band=None)
+    one = engine.submit(ScreeningRequest(
+        population=population, mode="noise", repeats=4, seed=9, band=None))
+    other = small_chunks.submit(ScreeningRequest(
+        population=population, mode="noise", repeats=4, seed=9, band=None))
     assert np.array_equal(one.ndf_matrix, other.ndf_matrix)
 
 
@@ -311,8 +368,9 @@ def test_noise_campaign_zero_noise_collapses_to_clean(engine):
     population = montecarlo_dies(PAPER_BIQUAD, 5, sigma_f0=0.04,
                                  seed=5)
     clean = engine.run(population, band="auto")
-    noisy = engine.run_noise(population, repeats=2, noise=0.0,
-                             band="auto")
+    noisy = engine.submit(ScreeningRequest(
+        population=population, mode="noise", repeats=2, noise=0.0,
+        band="auto"))
     assert np.array_equal(noisy.ndf_matrix[:, 0], clean.ndfs)
     assert np.array_equal(noisy.ndf_matrix[:, 1], clean.ndfs)
     assert np.array_equal(noisy.detection_rates() == 0.0,
@@ -344,7 +402,8 @@ def test_noise_is_decorrelated_from_die_parameters(engine):
 def test_noise_campaign_validates_arguments(engine):
     population = montecarlo_dies(PAPER_BIQUAD, 2)
     with pytest.raises(ValueError):
-        engine.run_noise(population, repeats=0)
+        engine.submit(ScreeningRequest(
+            population=population, mode="noise", repeats=0))
 
 
 def test_noise_campaign_executor_parity_bit_identical(engine):
@@ -358,12 +417,13 @@ def test_noise_campaign_executor_parity_bit_identical(engine):
 
     population = montecarlo_dies(PAPER_BIQUAD, 10, sigma_f0=0.04,
                                  seed=21)
-    serial = engine.run_noise(population, repeats=3, seed=13,
-                              band="auto")
+    serial = engine.submit(ScreeningRequest(
+        population=population, mode="noise", repeats=3, seed=13, band="auto"))
     with ProcessPoolExecutor(max_workers=2) as pool:
         pooled = CampaignEngine(engine.config, cache=GoldenCache(),
-                                executor=pool).run_noise(
-            population, repeats=3, seed=13, band="auto")
+                                executor=pool).submit(ScreeningRequest(
+            population=population, mode="noise", repeats=3, seed=13,
+            band="auto"))
     assert pooled.executor.startswith("process-pool")
     assert np.array_equal(serial.ndf_matrix, pooled.ndf_matrix)
     assert np.array_equal(serial.detection_rates(),
@@ -435,10 +495,10 @@ def test_keep_signatures_streamed(engine):
     monolithic = engine.run(
         montecarlo_dies(PAPER_BIQUAD, 12, sigma_f0=0.03, seed=41),
         band=None, keep_signatures=True)
-    streamed = engine.run_stream(
-        stream_montecarlo_dies(PAPER_BIQUAD, 12, chunk_size=5,
-                               sigma_f0=0.03, seed=41),
-        band=None, keep_signatures=True)
+    streamed = engine.submit(ScreeningRequest(
+        population=stream_montecarlo_dies(PAPER_BIQUAD, 12, chunk_size=5,
+                                          sigma_f0=0.03, seed=41),
+        mode="stream", band=None, keep_signatures=True))
     for attribute in ("codes", "durations", "row_offsets", "periods"):
         assert np.array_equal(
             getattr(monolithic.signature_batch, attribute),

@@ -8,6 +8,7 @@ from repro.campaign import (
     CampaignEngine,
     GoldenCache,
     ProcessPoolExecutor,
+    ScreeningRequest,
     SerialExecutor,
     SharedMemoryExecutor,
     chunked,
@@ -64,6 +65,27 @@ def test_chunk_size_does_not_change_results():
     assert np.array_equal(one.ndfs, many.ndfs)
 
 
+def test_serial_chunks_use_the_engine_cache_not_the_process_cache():
+    """In-process chunks carry the engine's cache; only pool workers
+    fall back to their process-wide ``_PROCESS_CACHE``."""
+    from repro.campaign.cache import _PROCESS_CACHE
+
+    # A sampling density no other test uses: nothing can be warm.
+    config = CampaignConfig(table1_encoder(), PAPER_STIMULUS,
+                            PAPER_BIQUAD, samples_per_period=384)
+    engine = CampaignEngine(config, cache=GoldenCache())
+    before = _PROCESS_CACHE.info
+    population = montecarlo_dies(PAPER_BIQUAD, 3, sigma_f0=0.03, seed=4)
+    engine.run(population, band=None)
+    engine.run(trace_population(np.repeat(engine.golden().y[None, :], 2,
+                                          axis=0)), band=None)
+    engine.submit(ScreeningRequest(population=population, mode="noise",
+                                   repeats=2, band=None))
+    assert _PROCESS_CACHE.info == before
+    assert engine.cache.contains(config.golden_key())
+    assert engine.cache.info.hits >= 3
+
+
 def test_process_pool_bit_identical_to_serial():
     """The acceptance criterion: same seeds -> identical verdicts."""
     population = montecarlo_dies(PAPER_BIQUAD, 24, sigma_f0=0.03,
@@ -97,9 +119,11 @@ def test_all_executors_bit_identical_including_streaming():
             engine = CampaignEngine(_config(), cache=GoldenCache(),
                                     executor=pool)
             results.append(engine.run(population, band="auto"))
-            results.append(engine.run_stream(stream(), band="auto"))
+            results.append(engine.submit(ScreeningRequest(
+                population=stream(), mode="stream", band="auto")))
     results.append(CampaignEngine(_config(), cache=GoldenCache())
-                   .run_stream(stream(), band="auto"))
+                   .submit(ScreeningRequest(population=stream(),
+                                            mode="stream", band="auto")))
     for other in results[1:]:
         assert np.array_equal(serial.ndfs, other.ndfs)
         assert np.array_equal(serial.verdicts, other.verdicts)

@@ -38,6 +38,7 @@ from repro.campaign import (
     CutListPopulation,
     GoldenCache,
     ProcessPoolExecutor,
+    ScreeningRequest,
     SharedMemoryExecutor,
     batch_biquad_traces,
     batch_codes,
@@ -475,8 +476,9 @@ def test_noise_and_varied_banks_take_the_exact_path(engine, monkeypatch):
     population = montecarlo_dies(PAPER_BIQUAD, 3, sigma_f0=0.04, seed=8)
     with pytest.raises(AssertionError, match="consulted"):
         engine.run(population, band=None)
-    noisy = engine.run_noise(population, repeats=2, noise=0.015, seed=1,
-                             band=None)
+    noisy = engine.submit(ScreeningRequest(
+        population=population, mode="noise", repeats=2, noise=0.015, seed=1,
+        band=None))
     assert noisy.ndf_matrix.shape == (3, 2)
     banks = engine.run(montecarlo_monitor_banks(table1_bank(), 2, seed=3),
                        band=None)

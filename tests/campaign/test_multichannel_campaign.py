@@ -18,6 +18,7 @@ from repro.campaign import (
     CampaignEngine,
     GoldenCache,
     ProcessPoolExecutor,
+    ScreeningRequest,
     SharedMemoryExecutor,
     fault_dictionary,
     montecarlo_dies,
@@ -163,10 +164,10 @@ def test_streamed_multichannel_matches_monolithic(engine, encoders):
                                  seed=13)
     monolithic = engine.run(population, band="auto",
                             keep_signatures=True, encoders=encoders)
-    streamed = engine.run_stream(
-        stream_montecarlo_dies(PAPER_BIQUAD, 30, chunk_size=7,
-                               sigma_f0=0.05, seed=13),
-        band="auto", keep_signatures=True, encoders=encoders)
+    streamed = engine.submit(ScreeningRequest(
+        population=stream_montecarlo_dies(PAPER_BIQUAD, 30, chunk_size=7,
+                                          sigma_f0=0.05, seed=13),
+        mode="stream", band="auto", keep_signatures=True, encoders=encoders))
     assert np.array_equal(monolithic.channel_ndfs,
                           streamed.channel_ndfs)
     assert np.array_equal(monolithic.channel_verdicts,
@@ -207,9 +208,9 @@ def test_empty_population_multichannel(engine, encoders):
 def test_unsupported_populations_raise(engine, encoders):
     multi_engine = engine.with_encoders(encoders)
     with pytest.raises(ValueError, match="single-channel"):
-        multi_engine.run_noise(
-            montecarlo_dies(PAPER_BIQUAD, 2, sigma_f0=0.03, seed=1),
-            repeats=2)
+        multi_engine.submit(ScreeningRequest(
+            population=montecarlo_dies(PAPER_BIQUAD, 2, sigma_f0=0.03, seed=1),
+            mode="noise", repeats=2))
     with pytest.raises(ValueError, match="primary monitor bank"):
         multi_engine.run(
             montecarlo_monitor_banks(table1_bank(), 2, seed=4),

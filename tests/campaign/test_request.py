@@ -11,7 +11,6 @@ from repro.campaign import (
     GoldenCache,
     ScreeningRequest,
     montecarlo_dies,
-    stream_montecarlo_dies,
 )
 from repro.monitor.configurations import table1_encoder
 from repro.paper import PAPER_BIQUAD, PAPER_STIMULUS
@@ -61,7 +60,7 @@ def test_with_population_replaces_only_population():
 
 
 # ----------------------------------------------------------------------
-# submit() dispatch vs the legacy entry points
+# submit() dispatch vs the run() convenience
 # ----------------------------------------------------------------------
 def test_submit_run_matches_run_shim(engine):
     lot = montecarlo_dies(PAPER_BIQUAD, 6, sigma_f0=0.05, seed=2)
@@ -74,28 +73,6 @@ def test_submit_run_matches_run_shim(engine):
     assert via_shim.labels == via_submit.labels
 
 
-def test_submit_stream_matches_run_stream_shim(engine):
-    def chunks():
-        return stream_montecarlo_dies(PAPER_BIQUAD, 10, chunk_size=4,
-                                      sigma_f0=0.05, seed=3)
-
-    via_shim = engine.run_stream(chunks())
-    via_submit = engine.submit(ScreeningRequest(population=chunks(),
-                                                mode="stream"))
-    np.testing.assert_array_equal(via_shim.ndfs, via_submit.ndfs)
-    np.testing.assert_array_equal(via_shim.verdicts,
-                                  via_submit.verdicts)
-
-
-def test_submit_noise_matches_run_noise_shim(engine):
-    lot = montecarlo_dies(PAPER_BIQUAD, 3, sigma_f0=0.05, seed=4)
-    via_shim = engine.run_noise(lot, repeats=3, seed=7)
-    via_submit = engine.submit(ScreeningRequest(
-        population=lot, mode="noise", repeats=3, seed=7))
-    np.testing.assert_array_equal(via_shim.ndf_matrix,
-                                  via_submit.ndf_matrix)
-
-
 def test_submit_carries_request_options(engine):
     lot = montecarlo_dies(PAPER_BIQUAD, 2, sigma_f0=0.05, seed=5)
     result = engine.submit(ScreeningRequest(
@@ -106,7 +83,7 @@ def test_submit_carries_request_options(engine):
 
 
 # ----------------------------------------------------------------------
-# Cache migration: per-engine default, deprecated global alias
+# Cache ownership: per-engine default, explicit sharing
 # ----------------------------------------------------------------------
 def test_engines_default_to_private_caches():
     a = CampaignEngine.from_parts(table1_encoder(), PAPER_STIMULUS,
@@ -135,18 +112,6 @@ def test_explicit_cache_is_shared():
     misses = cache.info.misses
     b.golden()
     assert cache.info.misses == misses  # b hit a's entry
-
-
-def test_default_cache_alias_warns():
-    import repro.campaign
-    import repro.campaign.cache
-
-    with pytest.warns(DeprecationWarning, match="DEFAULT_CACHE"):
-        legacy = repro.campaign.cache.DEFAULT_CACHE
-    assert isinstance(legacy, GoldenCache)
-    with pytest.warns(DeprecationWarning):
-        from_package = repro.campaign.DEFAULT_CACHE
-    assert from_package is legacy
 
 
 def test_missing_attribute_still_raises():

@@ -12,6 +12,7 @@ from repro.campaign import (
     CampaignConfig,
     CampaignEngine,
     ProcessPoolExecutor,
+    ScreeningRequest,
     SerialExecutor,
     SharedMemoryExecutor,
     montecarlo_dies,
@@ -144,11 +145,13 @@ def test_executor_chunk_spans_cover_every_chunk():
 def test_noise_campaign_traces_and_stays_bit_identical():
     population = _population(8)
     engine = _engine()
-    baseline = engine.run_noise(population, repeats=3, seed=5,
-                                band=THRESHOLD)
+    baseline = engine.submit(ScreeningRequest(
+        population=population, mode="noise", repeats=3, seed=5,
+        band=THRESHOLD))
     with tracing() as tracer:
-        traced = _engine().run_noise(population, repeats=3, seed=5,
-                                     band=THRESHOLD)
+        traced = _engine().submit(ScreeningRequest(
+            population=population, mode="noise", repeats=3, seed=5,
+            band=THRESHOLD))
     assert np.array_equal(baseline.ndf_matrix, traced.ndf_matrix)
     assert {r.name for r in tracer.records()} >= {"campaign.submit",
                                                   "stage.noise"}

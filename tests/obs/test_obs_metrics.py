@@ -129,15 +129,12 @@ def test_record_engine_timings_counts_and_histograms(scratch_default):
 
 
 # ----------------------------------------------------------------------
-# Compatibility: the old service-layer import path still works
+# The service package re-exports the registry it serves on /metrics
 # ----------------------------------------------------------------------
-def test_service_metrics_shim_reexports_everything():
+def test_service_package_reexports_the_obs_registry():
+    import repro.service
     from repro.obs import metrics as obs_metrics
-    from repro.service import metrics as service_metrics
 
-    for name in ("Counter", "Gauge", "Histogram", "MetricsRegistry",
-                 "RollingWindow", "default_registry",
-                 "record_engine_timings", "set_default_registry",
-                 "timed", "DEFAULT_BUCKETS"):
-        assert getattr(service_metrics, name) \
+    for name in ("MetricsRegistry", "timed"):
+        assert getattr(repro.service, name) \
             is getattr(obs_metrics, name)

@@ -5,9 +5,10 @@ import pytest
 
 from repro.campaign import (
     CheckpointMismatch,
+    ScreeningRequest,
     StreamCheckpoint,
-    seed_children,
     montecarlo_dies,
+    seed_children,
     stream_montecarlo_dies,
 )
 from repro.testing.faultinject import FaultInjected, inject
@@ -66,13 +67,15 @@ def test_stream_start_matches_monolithic_tail():
 def test_resume_is_bit_identical(small_engine, tmp_path,
                                  crash_after_chunks):
     ck = str(tmp_path / "campaign.npz")
-    reference = small_engine.run_stream(_chunks(), band="auto")
+    reference = small_engine.submit(ScreeningRequest(
+        population=_chunks(), mode="stream", band="auto"))
 
     with inject("stream.chunk.crash", times=1,
                 after=crash_after_chunks - 1):
         with pytest.raises(FaultInjected):
-            small_engine.run_stream(_chunks(), band="auto",
-                                    checkpoint=ck)
+            small_engine.submit(ScreeningRequest(
+                population=_chunks(), mode="stream", band="auto",
+                checkpoint=ck))
     partial = StreamCheckpoint.load(ck)
     assert partial.next_index == crash_after_chunks * CHUNK
     assert not partial.complete
@@ -89,11 +92,13 @@ def test_resume_with_mid_fleet_stream(small_engine, tmp_path):
 
     (instead of replaying from die 0) merges identically too."""
     ck = str(tmp_path / "campaign.npz")
-    reference = small_engine.run_stream(_chunks(), band="auto")
+    reference = small_engine.submit(ScreeningRequest(
+        population=_chunks(), mode="stream", band="auto"))
     with inject("stream.chunk.crash", times=1, after=1):
         with pytest.raises(FaultInjected):
-            small_engine.run_stream(_chunks(), band="auto",
-                                    checkpoint=ck)
+            small_engine.submit(ScreeningRequest(
+                population=_chunks(), mode="stream", band="auto",
+                checkpoint=ck))
     state = StreamCheckpoint.load(ck)
     resumed = small_engine.resume(
         ck, _chunks(start=state.next_index),
@@ -106,11 +111,13 @@ def test_resume_across_different_chunk_size(small_engine, tmp_path):
 
     resumed stream may re-chunk the remaining dies differently."""
     ck = str(tmp_path / "campaign.npz")
-    reference = small_engine.run_stream(_chunks(), band="auto")
+    reference = small_engine.submit(ScreeningRequest(
+        population=_chunks(), mode="stream", band="auto"))
     with inject("stream.chunk.crash", times=1, after=1):
         with pytest.raises(FaultInjected):
-            small_engine.run_stream(_chunks(), band="auto",
-                                    checkpoint=ck)
+            small_engine.submit(ScreeningRequest(
+                population=_chunks(), mode="stream", band="auto",
+                checkpoint=ck))
     resumed = small_engine.resume(ck, _chunks(chunk=7))
     _assert_identical(resumed, reference)
 
@@ -121,27 +128,29 @@ def test_crash_mid_checkpoint_write_restarts_cleanly(small_engine,
 
     from zero rather than trusting damaged state, and still matches."""
     ck = str(tmp_path / "campaign.npz")
-    reference = small_engine.run_stream(_chunks(), band="auto")
+    reference = small_engine.submit(ScreeningRequest(
+        population=_chunks(), mode="stream", band="auto"))
     with inject("checkpoint.write.tear", times=1):
         with inject("stream.chunk.crash", times=1):
             with pytest.raises(FaultInjected):
-                small_engine.run_stream(_chunks(), band="auto",
-                                        checkpoint=ck)
+                small_engine.submit(ScreeningRequest(
+                    population=_chunks(), mode="stream", band="auto",
+                    checkpoint=ck))
     assert StreamCheckpoint.load_if_valid(ck) is None
-    rerun = small_engine.run_stream(_chunks(), band="auto",
-                                    checkpoint=ck)
+    rerun = small_engine.submit(ScreeningRequest(
+        population=_chunks(), mode="stream", band="auto", checkpoint=ck))
     _assert_identical(rerun, reference)
 
 
 def test_completed_checkpoint_short_circuits(small_engine, tmp_path):
     ck = str(tmp_path / "campaign.npz")
-    reference = small_engine.run_stream(_chunks(), band="auto",
-                                        checkpoint=ck)
+    reference = small_engine.submit(ScreeningRequest(
+        population=_chunks(), mode="stream", band="auto", checkpoint=ck))
     assert StreamCheckpoint.load(ck).complete
     # Submitting again replays the persisted stats without screening.
     before = small_engine.cache.info.requests
-    again = small_engine.run_stream(iter(()), band="auto",
-                                    checkpoint=ck)
+    again = small_engine.submit(ScreeningRequest(
+        population=iter(()), mode="stream", band="auto", checkpoint=ck))
     _assert_identical(again, reference)
     assert small_engine.cache.info.requests >= before
 
@@ -150,8 +159,9 @@ def test_checkpoint_every_batches_saves(small_engine, tmp_path):
     ck = str(tmp_path / "campaign.npz")
     with inject("stream.chunk.crash", times=1, after=2):
         with pytest.raises(FaultInjected):
-            small_engine.run_stream(_chunks(), band="auto",
-                                    checkpoint=ck, checkpoint_every=2)
+            small_engine.submit(ScreeningRequest(
+                population=_chunks(), mode="stream", band="auto",
+                checkpoint=ck, checkpoint_every=2))
     # Crash after chunk 3: only the first checkpoint (2 chunks) saved.
     assert StreamCheckpoint.load(ck).next_index == 2 * CHUNK
 
@@ -173,8 +183,9 @@ def test_checkpoint_rejects_other_threshold(small_engine, tmp_path):
     ck = str(tmp_path / "campaign.npz")
     with inject("stream.chunk.crash", times=1):
         with pytest.raises(FaultInjected):
-            small_engine.run_stream(_chunks(), band="auto",
-                                    checkpoint=ck)
+            small_engine.submit(ScreeningRequest(
+                population=_chunks(), mode="stream", band="auto",
+                checkpoint=ck))
     with pytest.raises(CheckpointMismatch):
         small_engine.resume(ck, _chunks(), band=0.9)
 
@@ -182,6 +193,6 @@ def test_checkpoint_rejects_other_threshold(small_engine, tmp_path):
 def test_checkpointed_stream_rejects_keep_signatures(small_engine,
                                                      tmp_path):
     with pytest.raises(ValueError, match="keep"):
-        small_engine.run_stream(_chunks(), band="auto",
-                                keep_signatures=True,
-                                checkpoint=str(tmp_path / "ck.npz"))
+        small_engine.submit(ScreeningRequest(
+            population=_chunks(), mode="stream", band="auto",
+            keep_signatures=True, checkpoint=str(tmp_path / "ck.npz")))

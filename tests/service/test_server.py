@@ -161,6 +161,37 @@ def test_bad_payload_is_400(client):
     assert excinfo.value.status == 400
 
 
+def _error_count(client, kind):
+    """``errors_total{endpoint="campaign",kind=...}`` from /metrics."""
+    series = f'repro_errors_total{{endpoint="campaign",kind="{kind}"}} '
+    for line in client.metrics_text().splitlines():
+        if line.startswith(series):
+            return float(line[len(series):])
+    return 0.0
+
+
+def test_non_finite_trace_row_is_400(session, client):
+    samples = session.engine.config.samples_per_period
+    rows = [[0.0] * samples, [0.0] * (samples - 1) + [float("nan")]]
+    before = _error_count(client, "bad_request")
+    with pytest.raises(ServiceError) as excinfo:
+        client.campaign(kind="traces", y=rows)
+    assert excinfo.value.status == 400
+    assert "NaN or infinite" in str(excinfo.value)
+    assert "rows [1]" in str(excinfo.value)
+    assert _error_count(client, "bad_request") == before + 1
+
+
+def test_wrong_length_trace_stack_is_400(session, client):
+    samples = session.engine.config.samples_per_period
+    internal = _error_count(client, "internal")
+    with pytest.raises(ServiceError) as excinfo:
+        client.campaign(kind="traces", y=[[0.0] * (samples + 3)] * 2)
+    assert excinfo.value.status == 400
+    assert f"captures {samples} per period" in str(excinfo.value)
+    assert _error_count(client, "internal") == internal
+
+
 def test_unknown_endpoint_is_404(server):
     request = urllib.request.Request(server.url + "/nope",
                                      data=b"{}")

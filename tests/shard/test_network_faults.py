@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.campaign import ScreeningRequest
 from repro.obs.trace import tracing
 from repro.paper import PAPER_BIQUAD
 from repro.shard import MonteCarloFleet, ShardCoordinator
@@ -40,8 +41,9 @@ def _mc_fleet(count=DIES, chunk=2):
 
 
 def _reference(engine, fleet, count=DIES):
-    return engine.run_stream(fleet.chunks(0, count),
-                             band=engine.band().threshold)
+    return engine.submit(ScreeningRequest(
+        population=fleet.chunks(0, count), mode="stream",
+        band=engine.band().threshold))
 
 
 def _run(engine, fleet, shards=2, **kwargs):

@@ -53,9 +53,9 @@ def test_mc_bit_identical_to_monolithic(small_engine):
     population = montecarlo_dies(PAPER_BIQUAD, DIES, sigma_f0=SIGMA,
                                  seed=SEED)
     reference = small_engine.run(population, band="auto")
-    sharded = small_engine.run_sharded(_mc_fleet(), shards=3,
-                                       band="auto",
-                                       heartbeat=HEARTBEAT)
+    sharded = small_engine.submit(ScreeningRequest(
+        population=_mc_fleet(), mode="sharded", shards=3, band="auto",
+        shard_heartbeat=HEARTBEAT))
     _assert_same_result(sharded, reference)
     assert sharded.executor == "sharded[3]"
     assert sharded.shard_stats["completed"] == 3.0
@@ -63,10 +63,12 @@ def test_mc_bit_identical_to_monolithic(small_engine):
 
 
 def test_single_shard_matches_multi(small_engine):
-    one = small_engine.run_sharded(_mc_fleet(), shards=1, band="auto",
-                                   heartbeat=HEARTBEAT)
-    three = small_engine.run_sharded(_mc_fleet(), shards=3,
-                                     band="auto", heartbeat=HEARTBEAT)
+    one = small_engine.submit(ScreeningRequest(
+        population=_mc_fleet(), mode="sharded", shards=1, band="auto",
+        shard_heartbeat=HEARTBEAT))
+    three = small_engine.submit(ScreeningRequest(
+        population=_mc_fleet(), mode="sharded", shards=3, band="auto",
+        shard_heartbeat=HEARTBEAT))
     _assert_same_result(one, three)
     assert one.executor == "sharded[1]"
 
@@ -75,9 +77,9 @@ def test_sweep_population_bit_identical(small_engine):
     population = deviation_sweep_population(
         PAPER_BIQUAD, np.linspace(-0.2, 0.2, 9))
     reference = small_engine.run(population, band="auto")
-    sharded = small_engine.run_sharded(
-        PopulationFleet(population, chunk_size=2), shards=3,
-        band="auto", heartbeat=HEARTBEAT)
+    sharded = small_engine.submit(ScreeningRequest(
+        population=PopulationFleet(population, chunk_size=2), mode="sharded",
+        shards=3, band="auto", shard_heartbeat=HEARTBEAT))
     _assert_same_result(sharded, reference)
 
 
@@ -85,9 +87,9 @@ def test_grid_population_bit_identical(small_engine):
     axis = np.linspace(-0.1, 0.1, 3)
     population = parameter_grid(PAPER_BIQUAD, axis, axis)
     reference = small_engine.run(population, band="auto")
-    sharded = small_engine.run_sharded(population, shards=2,
-                                       band="auto",
-                                       heartbeat=HEARTBEAT)
+    sharded = small_engine.submit(ScreeningRequest(
+        population=population, mode="sharded", shards=2, band="auto",
+        shard_heartbeat=HEARTBEAT))
     _assert_same_result(sharded, reference)
 
 
@@ -95,19 +97,18 @@ def test_fewer_workers_than_shards(small_engine):
     population = montecarlo_dies(PAPER_BIQUAD, DIES, sigma_f0=SIGMA,
                                  seed=SEED)
     reference = small_engine.run(population, band="auto")
-    sharded = small_engine.run_sharded(_mc_fleet(chunk=2),
-                                       shards=4, workers=2,
-                                       band="auto",
-                                       heartbeat=HEARTBEAT)
+    sharded = small_engine.submit(ScreeningRequest(
+        population=_mc_fleet(chunk=2), mode="sharded", shards=4,
+        shard_workers=2, band="auto", shard_heartbeat=HEARTBEAT))
     _assert_same_result(sharded, reference)
     assert sharded.shard_stats["workers"] == 2.0
     assert sharded.shard_stats["completed"] == 4.0
 
 
 def test_empty_fleet(small_engine):
-    result = small_engine.run_sharded(_mc_fleet(count=0), shards=3,
-                                      band="auto",
-                                      heartbeat=HEARTBEAT)
+    result = small_engine.submit(ScreeningRequest(
+        population=_mc_fleet(count=0), mode="sharded", shards=3, band="auto",
+        shard_heartbeat=HEARTBEAT))
     assert result.num_dies == 0
     assert result.shard_stats["planned"] == 0.0
 
@@ -124,9 +125,9 @@ def test_kill_drill_reassigns_and_stays_bit_identical(
     monkeypatch.setenv("REPRO_SHARD_WORKER_FAULTS",
                        "shard.worker.kill:1:1")
     before = default_registry().counter("shard_reassigned_total").value
-    sharded = small_engine.run_sharded(_mc_fleet(chunk=2), shards=3,
-                                       band="auto",
-                                       heartbeat=HEARTBEAT)
+    sharded = small_engine.submit(ScreeningRequest(
+        population=_mc_fleet(chunk=2), mode="sharded", shards=3, band="auto",
+        shard_heartbeat=HEARTBEAT))
     _assert_same_result(sharded, reference)
     assert sharded.shard_stats["reassigned"] >= 1.0
     assert sharded.shard_stats["dispatched"] > \
@@ -139,8 +140,9 @@ def test_worker_error_raises_with_context(small_engine, monkeypatch):
     monkeypatch.setenv("REPRO_SHARD_WORKER_FAULTS",
                        "shard.worker.error")
     with pytest.raises(ShardWorkerError) as excinfo:
-        small_engine.run_sharded(_mc_fleet(), shards=2, band="auto",
-                                 heartbeat=HEARTBEAT)
+        small_engine.submit(ScreeningRequest(
+            population=_mc_fleet(), mode="sharded", shards=2, band="auto",
+            shard_heartbeat=HEARTBEAT))
     assert "FaultInjected" in str(excinfo.value)
 
 
@@ -192,8 +194,9 @@ def test_offset_stream_checkpoints_carry_start_index(
 
     fleet = _mc_fleet(chunk=2)
     path = str(tmp_path / "shard.npz")
-    result = small_engine.run_stream(fleet.chunks(4, 10), band="auto",
-                                     checkpoint=path, stream_offset=4)
+    result = small_engine.submit(ScreeningRequest(
+        population=fleet.chunks(4, 10), mode="stream", band="auto",
+        checkpoint=path, stream_offset=4))
     assert result.num_dies == 6
     state = StreamCheckpoint.load(path)
     assert state.start_index == 4
@@ -201,13 +204,15 @@ def test_offset_stream_checkpoints_carry_start_index(
     assert state.complete
     # Re-running the same range resumes (skips everything): the
     # result is bit-identical to the first pass.
-    again = small_engine.run_stream(fleet.chunks(4, 10), band="auto",
-                                    checkpoint=path, stream_offset=4)
+    again = small_engine.submit(ScreeningRequest(
+        population=fleet.chunks(4, 10), mode="stream", band="auto",
+        checkpoint=path, stream_offset=4))
     _assert_same_result(again, result)
     # A stream starting before the checkpoint's range cannot merge.
     with pytest.raises(ValueError, match="does not contain"):
-        small_engine.run_stream(fleet.chunks(0, 10), band="auto",
-                                checkpoint=path, stream_offset=0)
+        small_engine.submit(ScreeningRequest(
+            population=fleet.chunks(0, 10), mode="stream", band="auto",
+            checkpoint=path, stream_offset=0))
 
 
 def test_autotuned_campaign_carves_dynamically_and_stays_identical(
@@ -217,11 +222,9 @@ def test_autotuned_campaign_carves_dynamically_and_stays_identical(
     population = montecarlo_dies(PAPER_BIQUAD, DIES, sigma_f0=SIGMA,
                                  seed=SEED)
     reference = small_engine.run(population, band="auto")
-    sharded = small_engine.run_sharded(_mc_fleet(chunk=2), shards=3,
-                                       band="auto",
-                                       heartbeat=HEARTBEAT,
-                                       workers=2,
-                                       autotune_s=0.5)
+    sharded = small_engine.submit(ScreeningRequest(
+        population=_mc_fleet(chunk=2), mode="sharded", shards=3, band="auto",
+        shard_heartbeat=HEARTBEAT, shard_workers=2, shard_autotune_s=0.5))
     _assert_same_result(sharded, reference)
     assert sharded.shard_stats["planned"] >= 1.0
     assert sharded.shard_stats["completed"] == \

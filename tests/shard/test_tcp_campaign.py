@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.campaign import ScreeningRequest
 from repro.obs.trace import tracing
 from repro.paper import PAPER_BIQUAD
 from repro.shard import (
@@ -93,8 +94,9 @@ class _Campaign:
 
 
 def _monolithic(engine, fleet, count=DIES):
-    return engine.run_stream(fleet.chunks(0, count),
-                             band=engine.band().threshold)
+    return engine.submit(ScreeningRequest(
+        population=fleet.chunks(0, count), mode="stream",
+        band=engine.band().threshold))
 
 
 def test_two_tcp_workers_merge_bit_identical(small_engine):
@@ -213,9 +215,9 @@ def test_engine_listen_path_reports_tcp_executor(small_engine):
 
     def run():
         try:
-            outcome["result"] = small_engine.run_sharded(
-                fleet, shards=2, band="auto", heartbeat=HEARTBEAT,
-                listen=f"127.0.0.1:{port}")
+            outcome["result"] = small_engine.submit(ScreeningRequest(
+                population=fleet, mode="sharded", shards=2, band="auto",
+                shard_heartbeat=HEARTBEAT, shard_listen=f"127.0.0.1:{port}"))
         except BaseException as error:
             outcome["error"] = error
 

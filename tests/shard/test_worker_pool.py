@@ -79,8 +79,9 @@ def _sharded(engine, fleet, **request):
 
 
 def _assert_matches_stream(engine, fleet, result):
-    reference = engine.run_stream(fleet.chunks(0, len(fleet)),
-                                  band=engine.band().threshold)
+    reference = engine.submit(ScreeningRequest(
+        population=fleet.chunks(0, len(fleet)), mode="stream",
+        band=engine.band().threshold))
     np.testing.assert_array_equal(result.ndfs, reference.ndfs)
     np.testing.assert_array_equal(result.verdicts, reference.verdicts)
     assert list(result.labels) == list(reference.labels)
