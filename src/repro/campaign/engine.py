@@ -28,8 +28,11 @@ instead of once per die through
   as ``mode="stream"`` chunks (or a generator of chunks passed to
   :meth:`run`), keeping RSS bounded by the chunk size;
 * ``mode="noise"`` repeats every die's measurement under fresh
-  Section IV-C noise as one ``(N * repeats, samples)`` stack with
-  per-die deterministic seeding;
+  Section IV-C noise as ``(n * repeats, samples)`` stacks in the same
+  chunk loop; die ``i`` draws its noise from seed child ``i`` of the
+  campaign's noise root, indexed by its position in the population,
+  so the ``(N, repeats)`` matrix is the same under every chunking and
+  executor;
 * multi-signature screening (``run(..., encoders=[enc0, enc1])``)
   re-encodes the same trace stacks through extra monitor banks --
   per-channel NDFs/verdicts plus a combined OR-verdict, channel 0
@@ -90,6 +93,7 @@ from repro.campaign.scenarios import (
     SpecPopulation,
     TracePopulation,
     deviation_sweep_population,
+    seed_children,
 )
 from repro.core.decision import DecisionBand, ThresholdCalibration
 from repro.core.multi_signature_batch import MultiSignatureBatch
@@ -458,17 +462,19 @@ def _trace_chunk_worker_shm(payload
         close()
 
 
-def _noise_chunk_ndfs(payload) -> Tuple[np.ndarray, Dict[str, float]]:
+def _noise_chunk_ndfs(payload) -> Tuple[np.ndarray, Dict[str, float],
+                                       None]:
     """Noisy-repeat NDFs of a chunk of dies: an ``(n * R, T)`` stack.
 
-    ``payload`` is ``(config, specs, children, repeats, three_sigma,
-    cache)``.  Die ``i`` draws all of its ``repeats`` noise
-    realizations (X then Y per repeat) from its own spawned seed child
-    ``children[i]``, so the matrix is a pure function of ``(seed, die
-    index)`` -- chunking, executors and streaming never reshuffle
-    noise.
+    ``payload`` is ``(config, specs, first, seed, repeats,
+    three_sigma, cache)``, ``first`` being the population index of
+    ``specs[0]``.  Die ``i`` of the population draws all of its
+    ``repeats`` noise realizations (X then Y per repeat) from child
+    ``i`` of ``SeedSequence([seed, NOISE_SEED_DOMAIN])``, so the
+    ``(n, R)`` matrix is a pure function of ``(seed, die index)`` --
+    chunking and executors never reshuffle noise.
     """
-    config, specs, children, repeats, three_sigma, cache = payload
+    config, specs, first, seed, repeats, three_sigma, cache = payload
     timing: Dict[str, float] = {}
     with _stage(timing, "golden"):
         golden = _golden_artifacts(config, _chunk_cache(cache))
@@ -480,6 +486,8 @@ def _noise_chunk_ndfs(payload) -> Tuple[np.ndarray, Dict[str, float]]:
         x_stack = np.broadcast_to(golden.x, (n * repeats, t))
         if sigma > 0.0:
             noise = np.empty((n, repeats, 2, t))
+            children = seed_children([seed, NOISE_SEED_DOMAIN], first,
+                                     first + n)
             for i, child in enumerate(children):
                 rng = np.random.default_rng(child)
                 noise[i] = rng.normal(0.0, sigma, size=(repeats, 2, t))
@@ -491,13 +499,7 @@ def _noise_chunk_ndfs(payload) -> Tuple[np.ndarray, Dict[str, float]]:
         SCRATCH.give(y)  # repeated stack supersedes the clean traces
     values, __ = _score_code_stack(config, golden, x_stack, y_stack,
                                    timing)
-    return values.reshape(n, repeats), timing
-
-
-def _merge_timing(total: Dict[str, float],
-                  section: Dict[str, float]) -> None:
-    for key, value in section.items():
-        total[key] = total.get(key, 0.0) + value
+    return values.reshape(n, repeats), timing, None
 
 
 class CampaignEngine:
@@ -655,8 +657,6 @@ class CampaignEngine:
         """
         with span("campaign.submit", mode=request.mode,
                   executor=getattr(self.executor, "name", "custom")):
-            if request.mode == "noise":
-                return self._submit_noise(request)
             if request.mode == "sharded":
                 return self._submit_sharded(request)
             return self._submit_chunks(request)
@@ -729,11 +729,12 @@ class CampaignEngine:
             stream_offset=stream_offset))
 
     def _submit_chunks(self, request: ScreeningRequest
-                       ) -> CampaignResult:
-        """``mode="run"`` and ``mode="stream"``: one chunk loop.
+                       ) -> Union[CampaignResult, NoiseCampaignResult]:
+        """``mode="run"``, ``"stream"`` and ``"noise"``: one chunk loop.
 
-        A one-shot population is a stream of one chunk.  Every chunk
-        goes through its per-kind runner and accumulates in a
+        A one-shot population is a stream of one chunk, and so is a
+        noise population.  Every chunk goes through its runner and
+        accumulates in a
         :class:`~repro.campaign.checkpoint.StreamCheckpoint`; only a
         request with a checkpoint path ever persists it.  A single
         chunk's values and packed batch pass through uncopied.
@@ -743,9 +744,16 @@ class CampaignEngine:
         if request.encoders is not None:
             engine = self.with_encoders(request.encoders)
             return engine.submit(replace(request, encoders=None))
+        noise = request.mode == "noise"
+        if noise and self.config.extra_encoders:
+            raise ValueError(
+                "noise campaigns are single-channel; run them on the "
+                "primary engine (channel_engine(0)) -- the "
+                "multi-signature dictionary rows stay noise-free "
+                "references either way")
         chunks = request.population
         streamed = request.mode == "stream"
-        if not streamed and isinstance(chunks, Iterator):
+        if request.mode == "run" and isinstance(chunks, Iterator):
             # An iterator of specs is one population; an iterator of
             # population chunks (or an empty one) is a stream.
             first = next(chunks, _EXHAUSTED)
@@ -759,6 +767,9 @@ class CampaignEngine:
             name += "+stream"
         else:
             chunks = [self._as_population(chunks)]
+            if noise and not isinstance(chunks[0], SpecPopulation):
+                raise TypeError("noise campaigns run over spec "
+                                "populations")
             if isinstance(chunks[0], (CutListPopulation,
                                       EncoderPopulation)):
                 # Cut/encoder populations run in process: their
@@ -770,7 +781,7 @@ class CampaignEngine:
         start = time.perf_counter()
         threshold = self._resolve_threshold(request.band)
         state, skip = self._stream_state(request, threshold)
-        keep = request.keep_signatures
+        keep = request.keep_signatures and not noise
         batch_parts: List[Union[SignatureBatch,
                                 MultiSignatureBatch]] = []
         seen = 0  # dies drawn from the iterable so far
@@ -799,7 +810,7 @@ class CampaignEngine:
                     chunk.specs[skip:], chunk.f0_deviations[skip:],
                     chunk.q_deviations[skip:], chunk.labels[skip:])
                 skip = 0
-            values, section, batch = self._run_chunk(chunk, keep)
+            values, section, batch = self._run_chunk(chunk, request)
             batch_parts.append(batch)
             state.extend(values,
                          chunk.f0_deviations if ground_truth else None,
@@ -817,13 +828,9 @@ class CampaignEngine:
             state.complete = True
             state.save(request.checkpoint)
         return self._package_result(
-            state.values(self._empty_values()), dict(state.timing),
-            state.labels,
+            state, request, threshold, name, start,
             self._concatenate_batches(batch_parts) if keep else None,
-            request.band, threshold,
-            state.f0_deviations() if ground_truth else None,
-            state.q_deviations() if ground_truth else None,
-            name, start)
+            ground_truth)
 
     def _stream_state(self, request: ScreeningRequest,
                       threshold: Optional[float]):
@@ -868,23 +875,39 @@ class CampaignEngine:
                 "would be missing")
         return state, skip
 
-    def _package_result(self, values, timing, labels, batch, band,
-                        threshold, f0_devs, q_devs, executor_name,
-                        start) -> CampaignResult:
-        """Assemble a :class:`CampaignResult`, channel-shape aware.
+    def _package_result(self, state, request: ScreeningRequest,
+                        threshold: Optional[float], executor_name: str,
+                        start: float, batch=None,
+                        ground_truth: bool = True
+                        ) -> Union[CampaignResult, NoiseCampaignResult]:
+        """Wrap accumulated chunk state as the request's result.
 
-        Single-channel values pass through untouched.  An ``(N, K)``
-        multi-channel matrix is split: column 0 becomes the result's
-        primary ``ndfs``/``verdicts`` (the same floats the
+        ``state`` is the chunk loop's
+        :class:`~repro.campaign.checkpoint.StreamCheckpoint` or the
+        shard coordinator's merged one.  A noise request's ``(N, R)``
+        values become a :class:`NoiseCampaignResult`.  Otherwise
+        single-channel values pass through untouched, and an
+        ``(N, K)`` multi-channel matrix is split: column 0 becomes the
+        result's primary ``ndfs``/``verdicts`` (the same floats the
         single-channel flow produces -- the channel-0 contract), the
         full matrix plus per-channel thresholds/verdicts and the
         packed multi batch ride the ``channel_*`` fields.
         """
+        timing = dict(state.timing)
+        if request.mode == "noise":
+            matrix = state.values(np.empty((0, request.repeats)))
+            timing["total"] = time.perf_counter() - start
+            record_engine_timings(timing)
+            return NoiseCampaignResult(
+                ndf_matrix=matrix, threshold=threshold,
+                labels=state.labels, tolerance=self.config.tolerance,
+                timing=timing, executor=executor_name)
+        values = state.values(self._empty_values())
         channel_ndfs = channel_thresholds = channel_verdicts = None
         multi_batch = None
         if values.ndim == 2:
             channel_ndfs = values
-            channel_thresholds = self.channel_thresholds(band)
+            channel_thresholds = self.channel_thresholds(request.band)
             if channel_thresholds is not None:
                 channel_verdicts = (channel_ndfs
                                     <= channel_thresholds[None, :])
@@ -900,60 +923,16 @@ class CampaignEngine:
         record_engine_timings(timing)
         return CampaignResult(
             ndfs=values, threshold=threshold, verdicts=verdicts,
-            f0_deviations=f0_devs, q_deviations=q_devs, labels=labels,
-            tolerance=self.config.tolerance, timing=timing,
-            executor=executor_name, cache_info=self.cache.info,
-            signature_batch=batch, channel_ndfs=channel_ndfs,
+            f0_deviations=(state.f0_deviations() if ground_truth
+                           else None),
+            q_deviations=state.q_deviations() if ground_truth else None,
+            labels=state.labels, tolerance=self.config.tolerance,
+            timing=timing, executor=executor_name,
+            cache_info=self.cache.info, signature_batch=batch,
+            channel_ndfs=channel_ndfs,
             channel_thresholds=channel_thresholds,
             channel_verdicts=channel_verdicts,
             multi_signature_batch=multi_batch)
-
-    def _submit_noise(self, request: ScreeningRequest
-                      ) -> NoiseCampaignResult:
-        population = request.population
-        repeats = request.repeats
-        noise = request.noise
-        if self.config.extra_encoders:
-            raise ValueError(
-                "noise campaigns are single-channel; run them on the "
-                "primary engine (channel_engine(0)) -- the "
-                "multi-signature dictionary rows stay noise-free "
-                "references either way")
-        if repeats < 1:
-            raise ValueError("need at least one noisy repeat")
-        if noise is None:
-            three_sigma = NoiseModel().three_sigma
-        elif isinstance(noise, NoiseModel):
-            three_sigma = noise.three_sigma
-        else:
-            three_sigma = float(noise)
-        start = time.perf_counter()
-        population = self._as_population(population)
-        if not isinstance(population, SpecPopulation):
-            raise TypeError("noise campaigns run over spec populations")
-        threshold = self._resolve_threshold(request.band)
-        n = len(population)
-        children = np.random.SeedSequence(
-            [request.seed, NOISE_SEED_DOMAIN]).spawn(n)
-        die_chunk = self._pool_chunk_size(
-            n, max(1, self.config.chunk_size // repeats))
-        cache = self._payload_cache()
-        outputs = self.executor.map(_noise_chunk_ndfs, [
-            (self.config, population.specs[lo:lo + die_chunk],
-             children[lo:lo + die_chunk], repeats, three_sigma, cache)
-            for lo in range(0, n, die_chunk)])
-        timing: Dict[str, float] = {}
-        for __, section in outputs:
-            _merge_timing(timing, section)
-        matrix = (np.concatenate([v for v, __ in outputs], axis=0)
-                  if outputs else np.empty((0, repeats)))
-        timing["total"] = time.perf_counter() - start
-        record_engine_timings(timing)
-        return NoiseCampaignResult(
-            ndf_matrix=matrix, threshold=threshold,
-            labels=list(population.labels),
-            tolerance=self.config.tolerance, timing=timing,
-            executor=getattr(self.executor, "name", "custom"))
 
     def _submit_sharded(self, request: ScreeningRequest
                         ) -> CampaignResult:
@@ -984,8 +963,7 @@ class CampaignEngine:
                 pool = self._shard_pool
         coordinator = ShardCoordinator(
             config=self.config, threshold=threshold, fleet=fleet,
-            shards=request.shards, shard_size=request.shard_size,
-            workers=request.shard_workers,
+            shards=request.shards, workers=request.shard_workers,
             workdir=request.shard_workdir,
             heartbeat=request.shard_heartbeat,
             listen=listen,
@@ -993,15 +971,11 @@ class CampaignEngine:
             pool=pool,
             golden=self.golden())
         merged, stats = coordinator.run()
-        values = merged.values(self._empty_values())
-        timing = dict(merged.timing)
-        timing["merge"] = float(stats.get("merge_seconds", 0.0))
+        merged.timing["merge"] = float(stats.get("merge_seconds", 0.0))
         mode = "sharded-tcp" if listen is not None else "sharded"
-        name = f"{mode}[{coordinator.num_workers}]"
         result = self._package_result(
-            values, timing, merged.labels, None, request.band,
-            threshold, merged.f0_deviations(), merged.q_deviations(),
-            name, start)
+            merged, request, threshold,
+            f"{mode}[{coordinator.num_workers}]", start)
         result.shard_stats = stats
         return result
 
@@ -1084,16 +1058,17 @@ class CampaignEngine:
     def _merge_outputs(self, outputs, collect: bool):
         """Merge chunk outputs ``(values, timing, batch)`` in order.
 
-        NDF parts concatenate along the die axis whether they are
-        per-die vectors or ``(n, K)`` multi-channel matrices; packed
-        batches concatenate through their own class, so streamed and
-        chunked multi-signature campaigns merge channel by channel.
+        Runners call it with at least one output.  NDF parts concatenate along the die axis whether they are
+        per-die vectors, ``(n, K)`` multi-channel matrices or ``(n,
+        R)`` noise matrices; stage timings add up; packed batches
+        concatenate through their own class, so streamed and chunked
+        multi-signature campaigns merge channel by channel.
         """
         timing: Dict[str, float] = {}
-        for __, section_times, __batch in outputs:
-            _merge_timing(timing, section_times)
-        values = (np.concatenate([v for v, __, __b in outputs])
-                  if outputs else self._empty_values())
+        for __, section, __batch in outputs:
+            for key, value in section.items():
+                timing[key] = timing.get(key, 0.0) + value
+        values = np.concatenate([v for v, __, __b in outputs])
         batch = None
         if collect:
             batch = self._concatenate_batches(
@@ -1111,10 +1086,13 @@ class CampaignEngine:
             return None
         return self.cache
 
-    def _run_chunk(self, population, collect: bool = False
+    def _run_chunk(self, population, request: ScreeningRequest
                    ) -> Tuple[np.ndarray, Dict[str, float],
                               Optional[SignatureBatch]]:
-        """Screen one population through its per-kind runner."""
+        """Screen one population chunk through its runner."""
+        if request.mode == "noise":
+            return self._run_noise(population, request)
+        collect = request.keep_signatures
         if isinstance(population, EncoderPopulation) \
                 and self.config.extra_encoders:
             raise ValueError(
@@ -1131,6 +1109,34 @@ class CampaignEngine:
         if isinstance(population, CutListPopulation):
             return self._run_cuts(population, collect)
         return self._run_encoders(population, collect)
+
+    def _run_noise(self, population: SpecPopulation,
+                   request: ScreeningRequest
+                   ) -> Tuple[np.ndarray, Dict[str, float], None]:
+        """Noisy repeats of a spec population over the executor.
+
+        Each chunk of dies becomes one ``(n * repeats, samples)``
+        stack of about ``chunk_size`` rows; the chunks' ``(n,
+        repeats)`` matrices merge like any other chunk output.
+        """
+        noise = request.noise
+        if noise is None:
+            three_sigma = NoiseModel().three_sigma
+        elif isinstance(noise, NoiseModel):
+            three_sigma = noise.three_sigma
+        else:
+            three_sigma = float(noise)
+        n, repeats = len(population), request.repeats
+        if n == 0:
+            return np.empty((0, repeats)), {}, None
+        die_chunk = self._pool_chunk_size(
+            n, max(1, self.config.chunk_size // repeats))
+        cache = self._payload_cache()
+        outputs = self.executor.map(_noise_chunk_ndfs, [
+            (self.config, population.specs[lo:lo + die_chunk], lo,
+             request.seed, repeats, three_sigma, cache)
+            for lo in range(0, n, die_chunk)])
+        return self._merge_outputs(outputs, False)
 
     def _run_specs(self, population: SpecPopulation,
                    collect: bool = False
@@ -1274,14 +1280,6 @@ class CampaignEngine:
         boundaries), but the signatures of all banks pack into one
         batch and score through the fleet-NDF kernel.
         """
-        if self.config.extra_encoders:
-            raise ValueError(
-                "encoder populations vary the primary monitor bank "
-                "per die; extra signature channels are ambiguous here "
-                "-- run them single-channel")
-        if len(population) == 0:
-            return (np.empty(0), {"golden": 0.0}, [],
-                    SignatureBatch.empty() if collect else None)
         timing: Dict[str, float] = {}
         with _stage(timing, "golden"):
             golden = self.golden()

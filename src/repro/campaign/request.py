@@ -66,11 +66,12 @@ class ScreeningRequest:
         multi-signature screening (``encoders[0]`` becomes channel 0).
     repeats, noise, seed:
         Noise-campaign knobs (``mode="noise"`` only): measurements per
-        die, the noise model / 3-sigma volt spread (None = the paper's
-        0.015 V), and the deterministic per-die seed root.  The
-        repeats run as one ``(n * repeats, samples)`` stack per chunk,
-        scored against the noise-free golden.  Die ``i`` draws its
-        noise from child ``i`` of ``SeedSequence([seed,
+        die (at least one), the noise model / 3-sigma volt spread
+        (None = the paper's 0.015 V), and the deterministic per-die
+        seed root.  The repeats run as one ``(n * repeats, samples)``
+        stack per chunk, scored against the noise-free golden.  Die
+        ``i`` -- indexed by its position in the population -- draws
+        its noise from child ``i`` of ``SeedSequence([seed,
         NOISE_SEED_DOMAIN])`` (see
         :data:`repro.campaign.engine.NOISE_SEED_DOMAIN`), so the NDF
         matrix is identical under every chunking and executor.
@@ -102,14 +103,13 @@ class ScreeningRequest:
         the engine fast-forwards past already-checkpointed dies; a
         resume that rebuilds its stream mid-fleet (e.g.
         ``stream_montecarlo_dies(..., start=k)``) declares that here.
-    shards, shard_size, shard_workdir, shard_heartbeat, shard_workers:
+    shards, shard_workdir, shard_heartbeat, shard_workers:
         Sharded-campaign knobs (``mode="sharded"`` only; see
         :mod:`repro.shard` and ``docs/sharding.md``):
-        how many shards to split the fleet into, an optional dies-per-
-        shard cap (finer reassignment granularity), the coordinator's
-        checkpoint/scratch directory (a temp dir when None), the
-        worker heartbeat deadline in seconds, and the subprocess
-        worker count (None = one per shard).
+        how many near-equal shards to split the fleet into, the
+        coordinator's checkpoint/scratch directory (a temp dir when
+        None), the worker heartbeat deadline in seconds, and the
+        subprocess worker count (None = one per shard).
     shard_listen:
         ``"HOST:PORT"`` to accept remote TCP workers on instead of
         spawning subprocesses (``repro shard-worker --connect``
@@ -135,7 +135,6 @@ class ScreeningRequest:
     checkpoint_every: int = 1
     stream_offset: int = 0
     shards: int = 2
-    shard_size: Optional[int] = None
     shard_workdir: Optional[str] = None
     shard_heartbeat: float = 5.0
     shard_workers: Optional[int] = None
@@ -154,14 +153,14 @@ class ScreeningRequest:
         if self.checkpoint is not None and self.mode != "stream":
             raise ValueError("checkpointing applies to streamed "
                              "campaigns (mode='stream') only")
+        if self.repeats < 1:
+            raise ValueError("need at least one noisy repeat")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.stream_offset < 0:
             raise ValueError("stream_offset must be >= 0")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.shard_size is not None and self.shard_size < 1:
-            raise ValueError("shard_size must be >= 1")
         if self.shard_heartbeat <= 0:
             raise ValueError("shard_heartbeat must be positive")
         if self.shard_workers is not None and self.shard_workers < 1:

@@ -36,7 +36,7 @@ streaming campaign consumes one at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -215,8 +215,12 @@ def montecarlo_dies(golden_spec: BiquadSpec, count: int,
     return _die_population(golden_spec, children, sigma_f0, sigma_q, 0)
 
 
-def seed_children(seed: int, lo: int, hi: int) -> List:
+def seed_children(seed: Union[int, Sequence[int]], lo: int,
+                  hi: int) -> List:
     """Seed children ``lo..hi`` of root ``seed``, by global index.
+
+    ``seed`` is any ``SeedSequence`` entropy: an int, or a list such
+    as the noise campaign's ``[seed, NOISE_SEED_DOMAIN]``.
 
     ``SeedSequence.spawn`` numbers its children globally -- child
     ``i`` is ``SeedSequence(entropy=seed, spawn_key=(i,))`` no matter

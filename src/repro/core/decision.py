@@ -23,6 +23,9 @@ import numpy as np
 class TestVerdict:
     """Outcome of one signature test."""
 
+    #: Not a pytest test class, despite the name.
+    __test__ = False
+
     ndf: float
     threshold: float
 

@@ -111,6 +111,9 @@ WORKER_FAULTS_ENV = "REPRO_SHARD_WORKER_FAULTS"
 #: replacement -- worker to dial in.
 STARTUP_GRACE = 60.0
 
+#: Dispatch attempts per shard before the campaign fails.
+_MAX_ATTEMPTS = 3
+
 
 class ShardWorkerError(RuntimeError):
     """A worker reported a non-recoverable error or a shard ran out
@@ -154,9 +157,9 @@ class ShardCoordinator:
         The engine configuration, the *resolved* NDF threshold (float
         or None -- workers never calibrate), and the shardable fleet
         (:mod:`repro.shard.fleets`).
-    shards, shard_size, workers:
+    shards, workers:
         Planning and pool sizing: split into ``shards`` near-equal
-        ranges, or fixed ``shard_size`` ranges; run at most
+        ranges; run at most
         ``workers`` subprocesses (default: one per shard).  With
         ``listen`` set the pool is whoever dials in; an explicit
         ``workers`` is then the expected pool size and the admission
@@ -169,11 +172,9 @@ class ShardCoordinator:
         temp dir (cleaned up on success) when None.
     heartbeat:
         Seconds of silence after which a worker counts as stalled.
-    checkpoint_every:
-        Chunks between worker checkpoint saves (1 = every chunk, the
-        finest resume granularity).
-    max_attempts:
-        Dispatch attempts per shard before the campaign fails.
+        Workers checkpoint after every chunk (the finest resume
+        granularity); a shard is dispatched at most
+        :data:`_MAX_ATTEMPTS` times before the campaign fails.
     listen:
         ``(host, port)`` to accept remote workers on (port 0 binds an
         ephemeral port; read it back from :attr:`address`).  The
@@ -207,12 +208,9 @@ class ShardCoordinator:
     """
 
     def __init__(self, config, threshold: Optional[float], fleet,
-                 shards: int = 2, shard_size: Optional[int] = None,
-                 workers: Optional[int] = None,
+                 shards: int = 2, workers: Optional[int] = None,
                  workdir: Optional[str] = None,
                  heartbeat: float = 5.0,
-                 checkpoint_every: int = 1,
-                 max_attempts: int = 3,
                  listen: Optional[Tuple[str, int]] = None,
                  autotune_target_s: Optional[float] = None,
                  progress_timeout: Optional[float] = None,
@@ -234,7 +232,7 @@ class ShardCoordinator:
             self.plan: List[Shard] = []
             self._frontier = 0
         else:
-            self.plan = plan_shards(self._total, shards, shard_size)
+            self.plan = plan_shards(self._total, shards)
             self._frontier = self._total
         self._carved: List[Shard] = list(self.plan)
         self.remote = listen is not None
@@ -248,8 +246,6 @@ class ShardCoordinator:
                 workers if workers is not None else shards,
                 max(1, len(self.plan) or shards)))
         self.heartbeat = float(heartbeat)
-        self.checkpoint_every = int(checkpoint_every)
-        self.max_attempts = int(max_attempts)
         self.progress_timeout = (None if progress_timeout is None
                                  else float(progress_timeout))
         self.rejoin_grace = float(rejoin_grace)
@@ -327,8 +323,7 @@ class ShardCoordinator:
         transport.attach(self._sink(slot, generation))
         try:
             transport.send_line(encode_message(init_message(
-                self.config, self.threshold, self.fleet,
-                self.checkpoint_every, self.heartbeat,
+                self.config, self.threshold, self.fleet, self.heartbeat,
                 None if context is None else context.to_dict(),
                 remote=worker.remote, golden_b64=self._golden_b64)))
         except TransportClosed:
@@ -485,10 +480,10 @@ class ShardCoordinator:
         shard = worker.shard
         worker.shard = None
         if shard is not None:
-            if attempts.get(shard.index, 0) >= self.max_attempts:
+            if attempts.get(shard.index, 0) >= _MAX_ATTEMPTS:
                 raise ShardWorkerError(
                     f"shard {shard.index} dies [{shard.lo}, "
-                    f"{shard.hi}) failed {self.max_attempts} "
+                    f"{shard.hi}) failed {_MAX_ATTEMPTS} "
                     f"dispatch attempts (last worker "
                     f"{worker.transport.describe()} {reason}); "
                     f"worker stderr tail:\n"

@@ -7,16 +7,12 @@ planner only decides the ranges; per-die work is a pure function of the
 global index (seeds, labels, scoring are all chunk-boundary
 independent), so any plan merges bit-identical to the monolithic run.
 
-Two planning modes:
-
-* ``shards=N`` -- near-equal split into N contiguous ranges, the first
-  ``count % N`` shards one die longer (uneven-tail handling: no shard
-  differs from another by more than one die, and no empty shards are
-  emitted for ``N > count``).
-* ``shard_size=C`` -- fixed-size shards of at most C dies (the last
-  carries the tail).  More shards than workers means finer-grained
-  reassignment when a worker dies: only the lost shard re-executes,
-  from its last checkpoint.
+:func:`plan_shards` splits into N near-equal contiguous ranges, the
+first ``count % N`` shards one die longer (uneven-tail handling: no
+shard differs from another by more than one die, and no empty shards
+are emitted for ``N > count``).  More shards than workers means
+finer-grained reassignment when a worker dies: only the lost shard
+re-executes, from its last checkpoint.
 """
 
 from __future__ import annotations
@@ -46,25 +42,18 @@ class Shard:
         return f"shard_{self.index:04d}.npz"
 
 
-def plan_shards(count: int, shards: int = 2,
-                shard_size: Optional[int] = None) -> List[Shard]:
-    """Split ``count`` dies into contiguous shards.
+def plan_shards(count: int, shards: int = 2) -> List[Shard]:
+    """Split ``count`` dies into ``shards`` near-equal contiguous ranges.
 
-    ``shard_size`` wins when given (fixed-size shards, tail in the
-    last); otherwise ``shards`` near-equal ranges.  Empty shards are
-    never emitted; a zero-die fleet plans zero shards.  Consecutive
-    shards tile ``[0, count)`` exactly -- the invariant
-    :meth:`StreamCheckpoint.merge` enforces when reassembling.
+    Empty shards are never emitted; a zero-die fleet plans zero
+    shards.  Consecutive shards tile ``[0, count)`` exactly -- the
+    invariant :meth:`StreamCheckpoint.merge` enforces when
+    reassembling.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
     if count == 0:
         return []
-    if shard_size is not None:
-        if shard_size < 1:
-            raise ValueError("shard_size must be >= 1")
-        return [Shard(i, lo, min(lo + shard_size, count))
-                for i, lo in enumerate(range(0, count, shard_size))]
     if shards < 1:
         raise ValueError("shards must be >= 1")
     shards = min(shards, count)

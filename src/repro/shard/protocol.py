@@ -11,7 +11,7 @@ everything after that is plain JSON.
 ``init`` opens a campaign and may repeat: a pooled pipe worker idles
 after its last ``done`` and the next campaign's ``init`` replaces
 everything the previous one set (fleet, threshold, trace context,
-remote temp dir, heartbeat and checkpoint cadence).
+remote temp dir, heartbeat).
 
 Coordinator -> worker
 ---------------------
@@ -20,7 +20,7 @@ Coordinator -> worker
               included, as :func:`repro.store.encode_artifact` bytes:
               the worker seeds its cache with them and never builds a
               golden; a damaged payload is refused with ``error``),
-              checkpoint_every, heartbeat, trace (a ``TraceContext``
+              heartbeat, trace (a ``TraceContext``
               dict or null), remote (true when no shared filesystem
               can be assumed: the worker must return checkpoints
               inline)
@@ -104,14 +104,12 @@ def unpack_artifact(key, data: object):
 
 
 def init_message(config, threshold: Optional[float], fleet,
-                 checkpoint_every: int, heartbeat: float,
-                 trace: Optional[Dict[str, object]],
+                 heartbeat: float, trace: Optional[Dict[str, object]],
                  remote: bool = False,
                  golden_b64: Optional[str] = None) -> Dict[str, object]:
     return {"type": "init", "config_b64": pack_payload(config),
             "threshold": threshold, "fleet_b64": pack_payload(fleet),
             "golden_b64": golden_b64,
-            "checkpoint_every": int(checkpoint_every),
             "heartbeat": float(heartbeat), "trace": trace,
             "remote": bool(remote)}
 

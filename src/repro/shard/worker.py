@@ -142,9 +142,9 @@ class _Campaign:
     """Everything one ``init`` sets up; the next ``init`` replaces it.
 
     The fleet, the resolved threshold, the tracer, the remote temp dir
-    and the heartbeat/checkpoint cadence belong to one campaign.  The
-    shipped golden is seeded into the engine's cache, so no worker
-    ever builds a golden of its own.
+    and the heartbeat interval belong to one campaign.  The shipped
+    golden is seeded into the engine's cache, so no worker ever builds
+    a golden of its own.
     """
 
     def __init__(self, init: Dict[str, object], engine: CampaignEngine,
@@ -155,7 +155,6 @@ class _Campaign:
         engine.cache.seed(config.golden_key(), golden)
         self.fleet = unpack_payload(init["fleet_b64"])
         self.threshold = init.get("threshold")
-        self.checkpoint_every = int(init.get("checkpoint_every", 1))
         self.remote = bool(init.get("remote", False))
         self.tracer = None
         if init.get("trace") is not None:
@@ -238,7 +237,6 @@ def worker_main(stdin: Optional[TextIO] = None,
                 num_dies = _run_assignment(
                     engine, campaign.fleet, emit, shard_index, lo, hi,
                     local_path, campaign.threshold,
-                    campaign.checkpoint_every,
                     ship_checkpoints=campaign.remote)
             except Exception:
                 emit.send({"type": "error", "shard": shard_index,
@@ -266,12 +264,12 @@ def worker_main(stdin: Optional[TextIO] = None,
 def _run_assignment(engine: CampaignEngine, fleet, emit: _Emitter,
                     shard_index: int, lo: int, hi: int,
                     checkpoint: str, threshold,
-                    checkpoint_every: int,
                     ship_checkpoints: bool = False) -> int:
     """Screen shard ``[lo, hi)`` into ``checkpoint``; returns dies done.
 
     Resumes from the shard's last checkpoint when one exists (a
-    previous worker died mid-shard) -- never from zero.  The band
+    previous worker died mid-shard) -- never from zero; the stream
+    checkpoints after every chunk.  The band
     passed down is the coordinator's *resolved* threshold, so no
     worker ever re-runs calibration.
     """
@@ -288,7 +286,6 @@ def _run_assignment(engine: CampaignEngine, fleet, emit: _Emitter,
                 resume_at,
                 checkpoint=checkpoint if ship_checkpoints else None),
             mode="stream", band=threshold, checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every,
             stream_offset=resume_at))
     return hi - lo
 

@@ -107,6 +107,13 @@ def test_empty_population(engine):
             assert result.ndfs.shape == (0,)
             assert result.labels == []
             _assert_result_fields(kind, result, keep, {"golden"})
+    noisy = engine.submit(ScreeningRequest(
+        population=montecarlo_dies(PAPER_BIQUAD, 0), mode="noise",
+        repeats=3, band="auto"))
+    assert noisy.ndf_matrix.shape == (0, 3)
+    assert noisy.labels == []
+    assert noisy.executor == "serial"
+    assert set(noisy.timing) == {"total"}
 
 
 def test_single_die(engine):
@@ -126,6 +133,14 @@ def test_single_die(engine):
             assert result.ndfs.tolist() == [0.0]
             assert result.labels == population.labels
             _assert_result_fields(kind, result, keep, stages[kind])
+    population = _golden_populations(engine, 1)["spec"]
+    noisy = engine.submit(ScreeningRequest(
+        population=population, mode="noise", repeats=3, noise=0.0,
+        band="auto"))
+    assert noisy.ndf_matrix.tolist() == [[0.0, 0.0, 0.0]]
+    assert noisy.labels == population.labels
+    assert noisy.executor == "serial"
+    assert set(noisy.timing) == stages["spec"] | {"noise", "total"}
 
 
 def test_band_modes(engine):

@@ -51,6 +51,13 @@ def test_request_rejects_unknown_mode():
         ScreeningRequest(mode="batch")
 
 
+def test_request_rejects_zero_noise_repeats():
+    """Noise knobs fail at construction, like every other knob -- not
+    later inside ``submit``."""
+    with pytest.raises(ValueError, match="repeat"):
+        ScreeningRequest(mode="noise", repeats=0)
+
+
 def test_with_population_replaces_only_population():
     request = ScreeningRequest(band=0.1, keep_signatures=True)
     other = request.with_population([1, 2, 3])

@@ -1,11 +1,9 @@
 """Planner invariants under hypothesis: every plan tiles ``[0, N)``.
 
 The merge's bit-identity rests entirely on these properties -- the
-shards must be contiguous, disjoint, gap-free, ordered, and (in
-fixed-size mode) chunk-aligned at every boundary except the tail.
-The autotuner's carving is exercised by the campaign tests; here we
-pin the static planner over the whole (num_dies, shards, chunk)
-space.
+shards must be contiguous, disjoint, gap-free and ordered.  The
+autotuner's carving is exercised by the campaign tests; here we pin
+the static planner over the whole (num_dies, shards, chunk) space.
 """
 
 from __future__ import annotations
@@ -38,18 +36,17 @@ def test_near_equal_plans_tile_exactly(count, shards):
 
 
 @given(count=st.integers(min_value=0, max_value=5000),
-       shards=st.integers(min_value=1, max_value=64),
        chunk=st.integers(min_value=1, max_value=128))
 @settings(max_examples=150, deadline=None)
-def test_fixed_size_plans_tile_and_align(count, shards, chunk):
-    plan = plan_shards(count, shards, shard_size=chunk)
+def test_shard_count_from_a_size_cap_tiles_within_it(count, chunk):
+    """``ceil(count / chunk)`` near-equal shards never exceed ``chunk``
+    dies: a caller bounds reassignment granularity through
+    ``shards``."""
+    shards = max(1, -(-count // chunk))
+    plan = plan_shards(count, shards)
     _assert_tiles(plan, count)
-    # Every boundary except the tail sits on a chunk multiple.
-    for shard in plan[:-1]:
-        assert shard.num_dies == chunk
-        assert shard.hi % chunk == 0
-    if plan:
-        assert plan[-1].num_dies <= chunk
+    assert all(shard.num_dies <= chunk for shard in plan)
+    assert len(plan) == (shards if count else 0)
 
 
 @given(count=st.integers(min_value=1, max_value=2000),

@@ -124,8 +124,7 @@ def test_assign_message_round_trips_and_omits_absent_resume(
 def test_init_and_shutdown_round_trip_through_the_wire():
     config = {"tolerance": 0.05}  # any picklable stands in
     fleet = [1, 2, 3]
-    message = init_message(config, 0.25, fleet, 2, 5.0, None,
-                           remote=True)
+    message = init_message(config, 0.25, fleet, 5.0, None, remote=True)
     decoded = decode_message(encode_message(message))
     assert decoded["remote"] is True
     assert unpack_payload(decoded["config_b64"]) == config

@@ -41,21 +41,21 @@ def test_payload_roundtrip():
 
 
 def test_init_message_shape():
-    message = init_message({"cfg": True}, 0.05, ("fleet",), 2, 7.5,
+    message = init_message({"cfg": True}, 0.05, ("fleet",), 7.5,
                            {"trace_id": "t", "parent_span_id": 9})
     line = encode_message(message)  # must be JSON-serializable
     decoded = decode_message(line)
     assert decoded["type"] == "init"
     assert decoded["threshold"] == 0.05
-    assert decoded["checkpoint_every"] == 2
     assert decoded["heartbeat"] == 7.5
+    assert "checkpoint_every" not in decoded  # workers save every chunk
     assert decoded["trace"]["parent_span_id"] == 9
     assert unpack_payload(decoded["config_b64"]) == {"cfg": True}
     assert unpack_payload(decoded["fleet_b64"]) == ("fleet",)
 
 
 def test_init_message_without_trace():
-    message = init_message({}, None, None, 1, 5.0, None)
+    message = init_message({}, None, None, 5.0, None)
     decoded = decode_message(encode_message(message))
     assert decoded["trace"] is None
     assert decoded["threshold"] is None

@@ -176,8 +176,6 @@ def test_request_validates_shard_fields():
     with pytest.raises(ValueError):
         ScreeningRequest(population=[], mode="sharded", shards=0)
     with pytest.raises(ValueError):
-        ScreeningRequest(population=[], mode="sharded", shard_size=0)
-    with pytest.raises(ValueError):
         ScreeningRequest(population=[], mode="sharded",
                          shard_heartbeat=0.0)
     with pytest.raises(ValueError):

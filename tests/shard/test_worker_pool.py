@@ -210,8 +210,8 @@ def _worker_lines(tmp_path, engine, inits):
     lines = []
     for k, (fleet, golden_b64) in enumerate(inits):
         lines.append(encode_message(init_message(
-            engine.config, engine.band().threshold, fleet, 1, 60.0,
-            None, golden_b64=golden_b64)))
+            engine.config, engine.band().threshold, fleet, 60.0, None,
+            golden_b64=golden_b64)))
         lines.append(encode_message(assign_message(
             k, 0, len(fleet), str(tmp_path / f"shard_{k}.npz"))))
     stdout = io.StringIO()
